@@ -3,8 +3,8 @@
 Three constructions on the inverted-gamma posterior (shape s, scale A):
 
 * equal tails, via the pivot 2A/delta ~ chi-square with 2s dof;
-* the exact highest-posterior-density (HPD) interval, solved from the
-  defining system (coverage = 1 - alpha, equal density at the endpoints);
+* the exact highest-posterior-density (HPD) interval, the root of one
+  equation in one variable (see below);
 * a closed-form approximation that maps a target length g directly to an
   interval [c(g), c(g) + g] with
 
@@ -13,9 +13,16 @@ Three constructions on the inverted-gamma posterior (shape s, scale A):
   either evaluated at a supplied g or calibrated so its posterior coverage
   hits a requested level.
 
-The exact solver works on the log-density kernel in w = ln(delta),
-phi(w) = -A e^-w - (a+n) w, which is strictly concave with its peak at the
-posterior mode, so the endpoint-matching equation is monotone on each side.
+The HPD endpoints c_L < c_H have equal density and cover 1 - alpha. Write
+L = ln(c_H / c_L) > 0. Equal density, (a+n) L = A (1/c_L - 1/c_H), then
+gives both endpoints in closed form,
+
+    c_L = A (1 - e^-L) / ((a+n) L),    c_H = c_L e^L,
+
+and with u = A/delta the coverage is C(L) = P(s, u_hi) - P(s, u_lo), where
+u_hi = (a+n) L / (1 - e^-L) and u_lo = (a+n) L / (e^L - 1). C increases
+from 0 to 1 in L, so the exact solver is a single bracketed Newton root of
+C(L) = 1 - alpha (Chen & Shao 1999 discuss HPD computation in general).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from statistics import NormalDist
 from typing import Sequence
 
 from .errors import BracketFailureError, ConvergenceError, DomainError
@@ -44,10 +52,16 @@ __all__ = [
     "length_of_alpha",
 ]
 
-# residual targets for the exact solver; chosen an order of magnitude inside
-# the 1e-9 accuracy contract so rounding noise never flips a test
+# coverage target of the exact solver; chosen well inside the 1e-9 accuracy
+# contract so rounding noise never flips a test
 _COVERAGE_RTOL = 1e-12
-_MATCH_RTOL = 1e-13
+# largest ln(c_H / c_L) tried: A / c_H = (a+n) L e^-L / (1 - e^-L) stays a
+# normal float there, so both endpoints stay finite
+_L_MAX = 600.0
+# backstop only: bracketed Newton converges in a handful of steps
+_MAX_STEPS = 100
+
+_STD_NORMAL = NormalDist()
 
 
 class IntervalKind(str, Enum):
@@ -61,7 +75,7 @@ class IntervalKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredibleInterval:
     """A posterior interval with its achieved coverage and solver residuals.
 
@@ -117,110 +131,81 @@ def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
     )
 
 
-def _match_upper(post: PosteriorParams, c_lo: float, w_mode: float) -> float:
-    """Endpoint above the mode with the same posterior density as c_lo.
+def _log_ratio_guess(s: float, alpha: float) -> float:
+    """Closed-form start for L = ln(c_H / c_L).
 
-    Solves phi(w) = phi(ln c_lo) on the decreasing branch w > w_mode, where
-    phi(w) = -A e^-w - (a+n) w. Newton steps are kept inside a sign-change
-    bracket grown additively in w (one unit of w is a factor e in delta).
+    The Wilson-Hilferty log ratio of the equal-tails endpoints; when its
+    lower chi-square quantile collapses (small s or alpha), the tail form
+    that puts all of alpha above c_H, where P(s, u) ~ u^s / Gamma(s + 1).
     """
-    A, apn = post.A, post.a_plus_n
-
-    def phi(w: float) -> float:
-        return -A * math.exp(-w) - apn * w
-
-    target = phi(math.log(c_lo))
-    f_tol = _MATCH_RTOL * max(1.0, abs(target))
-
-    # harmonic reflection of c_lo through the mode: exact for a kernel
-    # symmetric in w, a good start here
-    w = 2.0 * w_mode - math.log(c_lo)
-    lo_w = w_mode
-    hi_w = max(w, w_mode + 1e-8)
-    for _ in range(800):
-        if phi(hi_w) <= target:
-            break
-        lo_w = hi_w
-        hi_w += 1.0
-    else:
-        raise ConvergenceError("failed to bracket the matching upper endpoint")
-
-    w = min(max(w, lo_w), hi_w)
-    for _ in range(200):
-        f = phi(w) - target
-        if abs(f) <= f_tol:
-            return math.exp(w)
-        if f > 0.0:
-            lo_w = w
-        else:
-            hi_w = w
-        slope = A * math.exp(-w) - apn  # phi'(w), negative above the mode
-        if slope < 0.0:
-            w_next = w - f / slope
-            if not lo_w < w_next < hi_w:
-                w_next = 0.5 * (lo_w + hi_w)
-        else:
-            w_next = 0.5 * (lo_w + hi_w)
-        if hi_w - lo_w <= 1e-14 * max(1.0, abs(hi_w)):
-            return math.exp(0.5 * (lo_w + hi_w))
-        w = w_next
-    raise ConvergenceError("endpoint matching did not converge")
+    z = _STD_NORMAL.inv_cdf(1.0 - 0.5 * alpha)
+    c = 1.0 / (9.0 * s)
+    base_hi = 1.0 - c + z * math.sqrt(c)
+    base_lo = 1.0 - c - z * math.sqrt(c)
+    if base_lo > 0.0:
+        return 3.0 * math.log(base_hi / base_lo)
+    x = math.log(s + 1.0) - (math.log(alpha) + math.lgamma(s + 1.0)) / s
+    return x + math.log(max(x, 1.0))
 
 
 def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
-    """Exact HPD interval from the defining two-equation system.
+    """Exact HPD interval as one safeguarded Newton root in L = ln(c_H/c_L).
 
-    Outer bisection moves the lower endpoint c_L in (0, mode); for each
-    trial the inner solve finds the density-matched upper endpoint, and the
-    bracket is updated on the posterior coverage of the pair. Coverage is
-    strictly decreasing as c_L rises toward the mode, so the bisection is
-    monotone.
+    Equal density fixes both endpoints for each L > 0 (module docstring),
+    so only the coverage C(L) = P(s, u_hi) - P(s, u_lo) = 1 - alpha is
+    solved. C rises from 0 to 1 and C'(L) is two gamma densities times
+    closed-form du/dL, so each step costs one posterior_coverage call. Steps
+    that leave the sign-change bracket, or do not shrink fast enough, fall
+    back to bisection, so the last-bit jitter of the incomplete gamma cannot
+    stall the solve. It stops when |C - (1 - alpha)| <= 1e-12 or when the
+    bracket collapses. outer_iterations counts the steps, the starting guess
+    included; each is one coverage evaluation.
     """
     _check_alpha(alpha)
     target = 1.0 - alpha
-    mode = posterior_mode(post)
-    w_mode = math.log(mode)
+    s, A, apn = post.s, post.A, post.a_plus_n
+    ln_gamma_s = math.lgamma(s)
 
-    def coverage_at(c_lo: float) -> tuple[float, float]:
-        c_hi = _match_upper(post, c_lo, w_mode)
-        return c_hi, posterior_coverage(c_lo, c_hi, post)
+    def u_mass(u: float) -> float:
+        # u times the Gamma(s, 1) density at u, i.e. d P(s, u) / d ln u
+        return math.exp(s * math.log(u) - u - ln_gamma_s)
 
-    # walk down from the mode until the trial interval over-covers
-    hi_c = mode * (1.0 - 1e-12)
-    lo_c = 0.5 * mode
-    _, cov = coverage_at(lo_c)
-    for _ in range(200):
-        if cov >= target:
-            break
-        hi_c = lo_c
-        lo_c *= 0.5
-        _, cov = coverage_at(lo_c)
-    else:
-        raise ConvergenceError(
-            f"could not reach coverage {target} while expanding the bracket"
-        )
-
-    c_lo, c_hi = lo_c, None
-    residual = cov - target
+    lo, hi = 0.0, _L_MAX  # C(lo) < target; C(hi) >= target once reached
+    reached = False
+    L = min(max(_log_ratio_guess(s, alpha), 1e-8), _L_MAX)
+    step_old = hi - lo
     iterations = 0
-    while abs(residual) > _COVERAGE_RTOL and iterations < 200:
+    while True:
         iterations += 1
-        mid = 0.5 * (lo_c + hi_c)
-        c_up, cov = coverage_at(mid)
-        if cov >= target:
-            lo_c = mid
-        else:
-            hi_c = mid
-        if abs(cov - target) < abs(residual):
-            c_lo, c_hi, residual = mid, c_up, cov - target
-        if hi_c - lo_c <= 1e-16 * mode:
+        one_minus = -math.expm1(-L)
+        u_hi = apn * L / one_minus  # A / c_L
+        u_lo = u_hi * math.exp(-L)  # A / c_H
+        residual = posterior_coverage(A / u_hi, A / u_lo, post) - target
+        if abs(residual) <= _COVERAGE_RTOL:
             break
+        if residual < 0.0:
+            lo = L
+        else:
+            hi, reached = L, True
+        if hi - lo <= 1e-15 * hi or iterations >= _MAX_STEPS:
+            break
+        slope = u_mass(u_hi) * (1.0 / L - 1.0 / math.expm1(L)) + u_mass(u_lo) * (
+            1.0 / one_minus - 1.0 / L
+        )
+        step = L - residual / slope if slope > 0.0 else math.nan
+        if not lo < step < hi or abs(2.0 * residual) > abs(step_old * slope):
+            step = 0.5 * (lo + hi)
+        step_old = step - L
+        L = step
 
-    if c_hi is None:
-        c_hi = _match_upper(post, c_lo, w_mode)
+    if abs(residual) > _COVERAGE_RTOL and not reached:
+        raise ConvergenceError(
+            f"could not reach coverage {target} with c_H / c_L up to e^{_L_MAX:g}"
+        )
+    c_lo, c_hi = A / u_hi, A / u_lo
     pdf_lo = posterior_pdf(c_lo, post)
     pdf_hi = posterior_pdf(c_hi, post)
-    pdf_mode = posterior_pdf(mode, post)
+    pdf_mode = posterior_pdf(posterior_mode(post), post)
     return CredibleInterval(
         lower=c_lo,
         upper=c_hi,

@@ -116,7 +116,7 @@ class SimConfig:
             raise DomainError(f"workers must be positive, got {self.workers!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointRow:
     """Aggregate for one (estimator, record count) cell."""
 
@@ -128,7 +128,7 @@ class PointRow:
     analytic_mse: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalRow:
     """Aggregate for one (interval kind, record count, alpha) cell."""
 
@@ -139,7 +139,7 @@ class IntervalRow:
     mean_length: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     """One deterministic estimate cell of the reference table."""
 
@@ -148,7 +148,7 @@ class TableRow:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimResult:
     """Everything a simulation produced, in a fixed row order."""
 

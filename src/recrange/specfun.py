@@ -43,7 +43,8 @@ class ToleranceConfig:
 
     abs_tol bounds the residual accepted by the quantile inversion, rel_tol
     terminates the series/continued-fraction sums, and max_iter caps every
-    loop so no input can hang the caller.
+    loop so no input can hang the caller (the incomplete-gamma sums scale it
+    by ceil(sqrt(s) / 25), since near x = s they need about 8 sqrt(s) terms).
     """
 
     abs_tol: float = 1e-12
@@ -91,41 +92,54 @@ def reg_lower_gamma(s: float, x: float, tol: ToleranceConfig = DEFAULT_TOL) -> f
     if math.isinf(x):
         return 1.0
 
-    log_front = s * math.log(x) - x - math.lgamma(s)
+    if s >= 100.0 and abs(x - s) < 0.5 * s:
+        # Stirling form of ln(x^s e^-x / Gamma(s)): the plain sum cancels
+        # terms of size s ln s and loses about 1e-10 by s = 1e5
+        t = (x - s) / s
+        log_front = (
+            s * (math.log1p(t) - t)
+            + 0.5 * math.log(s / (2.0 * math.pi))
+            - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
+        )
+    else:
+        log_front = s * math.log(x) - x - math.lgamma(s)
     if log_front < _LOG_TINY:
         # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
         return 1.0 if x > s else 0.0
 
+    # near x = s both expansions need about 8 sqrt(s) terms, so the loop cap
+    # grows with sqrt(s); it is max_iter itself up to s = 625
+    max_iter = tol.max_iter * max(1, math.ceil(math.sqrt(s) / 25.0))
     if x < s + 1.0:
-        return math.exp(log_front) * _lower_series(s, x, tol)
-    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, tol)
+        return math.exp(log_front) * _lower_series(s, x, tol.rel_tol, max_iter)
+    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, tol.rel_tol, max_iter)
 
 
-def _lower_series(s: float, x: float, tol: ToleranceConfig) -> float:
+def _lower_series(s: float, x: float, rel_tol: float, max_iter: int) -> float:
     # P(s, x) * Gamma(s) / (x^s e^-x) = sum_k x^k / (s (s+1) ... (s+k))
     denom = s
     term = 1.0 / s
     total = term
-    for _ in range(tol.max_iter):
+    for _ in range(max_iter):
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * tol.rel_tol:
+        if abs(term) < abs(total) * rel_tol:
             return total
     raise ConvergenceError(
         f"incomplete gamma series did not converge for s={s}, x={x} "
-        f"within {tol.max_iter} terms"
+        f"within {max_iter} terms"
     )
 
 
-def _upper_cont_frac(s: float, x: float, tol: ToleranceConfig) -> float:
+def _upper_cont_frac(s: float, x: float, rel_tol: float, max_iter: int) -> float:
     # Q(s, x) * Gamma(s) / (x^s e^-x) via the standard even-odd contracted
     # continued fraction, evaluated with the modified Lentz method.
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_iter + 1):
+    for i in range(1, max_iter + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -137,11 +151,11 @@ def _upper_cont_frac(s: float, x: float, tol: ToleranceConfig) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
+        if abs(delta - 1.0) < rel_tol:
             return h
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge for s={s}, "
-        f"x={x} within {tol.max_iter} iterations"
+        f"x={x} within {max_iter} iterations"
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,15 @@ from recrange import (
     DomainError,
     IntervalKind,
     PosteriorParams,
+    PriorParams,
     equal_tails,
+    extract_upper_records,
     hpd_exact,
     hpd_hpm_calibrated,
     hpd_hpm_closed_form,
     length_of_alpha,
     posterior_coverage,
+    posterior_from,
     posterior_mode,
     posterior_pdf,
 )
@@ -53,6 +57,14 @@ def grid_threshold_hpd(s: float, A: float, alpha: float):
 
 
 class TestCredibleInterval:
+    def test_slotted_frozen_and_comparable(self):
+        iv = hpd_exact(post(4.0, 9.319232), 0.10)
+        assert not hasattr(iv, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.lower = 1.0
+        assert iv == hpd_exact(post(4.0, 9.319232), 0.10)
+        assert iv != hpd_exact(post(4.0, 9.319232), 0.20)
+
     def test_length(self):
         iv = CredibleInterval(
             lower=1.0, upper=3.0, level=0.9, kind=IntervalKind.EQUAL_TAILS, diagnostics={}
@@ -169,6 +181,24 @@ class TestHpdExact:
             "outer_iterations",
         }
         assert abs(iv.diagnostics["coverage_residual"]) < 1e-12
+
+    @pytest.mark.parametrize(
+        "p",
+        [PosteriorParams(s=s, A=3.0) for s in (0.05, 0.3, 1.0, 50.0, 1e3, 1e5)]
+        # b = 0 prior: the posterior scale A is the record range alone
+        + [posterior_from(PriorParams(a=2.0, b=0.0), extract_upper_records([0.5, 1.0, 3.0, 3.5]))],
+        ids=lambda p: f"s={p.s:g},A={p.A:g}",
+    )
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.05, 0.5, 0.999])
+    def test_edge_cases_against_scipy(self, p, alpha):
+        # s = 0.05 meets the last-bit non-monotone steps of the incomplete
+        # gamma, s = 1e5 needs its large-shape budget; both must converge
+        iv = hpd_exact(p, alpha)
+        dist = stats.invgamma(p.s, scale=p.A)
+        cover = dist.cdf(iv.upper) - dist.cdf(iv.lower)
+        assert abs(cover - (1.0 - alpha)) < 1e-9
+        assert abs(dist.logpdf(iv.lower) - dist.logpdf(iv.upper)) < 1e-9
+        assert iv.diagnostics["outer_iterations"] <= 50
 
     @given(
         st.floats(min_value=1.2, max_value=30.0),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ from recrange import (
     EstimatorId,
     InsufficientRecordsError,
     IntervalKind,
+    IntervalRow,
+    PointRow,
     PriorParams,
     SimConfig,
+    SimResult,
+    TableRow,
     datasets,
     derive_rep_seed,
     mle_urr,
@@ -209,6 +215,32 @@ class TestIntervalSim:
                     prior=PriorParams(a=1.0, b=0.0), alpha_list=(0.1,),
                 )
             )
+
+
+class TestResultRows:
+    @pytest.fixture(scope="class")
+    def results(self):
+        cfg = dict(delta_true=1.0, n_records=3, reps=5, seed=2, prior=PRIOR)
+        point = run_point_sim(SimConfig(**cfg))
+        interval = run_interval_sim(SimConfig(**cfg, alpha_list=(0.1,)))
+        table = reproduce_table1(datasets.SAMPLE_A, PRIOR)
+        return point, interval, table
+
+    def test_rows_are_slotted(self, results):
+        point, interval, table = results
+        rows = (point, point.point_rows[0], interval.interval_rows[0], table[0])
+        for row, cls in zip(rows, (SimResult, PointRow, IntervalRow, TableRow)):
+            assert type(row) is cls
+            assert not hasattr(row, "__dict__")
+
+    def test_rows_stay_frozen_and_comparable(self, results):
+        point, interval, _ = results
+        row = interval.interval_rows[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.mean_length = 0.0
+        assert row == dataclasses.replace(row)
+        assert row != dataclasses.replace(row, alpha=0.2)
+        assert pickle.loads(pickle.dumps(point)) == point
 
 
 class TestReproduceTable1:

@@ -61,6 +61,15 @@ class TestRegLowerGamma:
         # covers both the series branch (x < s+1) and the continued fraction
         assert abs(reg_lower_gamma(s, x) - float(special.gammainc(s, x))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "s,x",
+        [(s, x) for s in (5e3, 1e4, 1e5, 1e6) for x in (0.99 * s, s, s + 1.5, 1.01 * s)],
+    )
+    def test_large_shape_against_scipy(self, s, x):
+        # near x = s both expansions need about 8 sqrt(s) terms, beyond the
+        # default 500-term budget once s passes a few thousand
+        assert abs(reg_lower_gamma(s, x) - float(special.gammainc(s, x))) < 1e-9
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             reg_lower_gamma(0.0, 1.0)
