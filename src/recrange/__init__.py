@@ -54,6 +54,7 @@ from .estimators import (
     bayes_absolute,
     bayes_quadratic,
     bayes_squared,
+    estimator_rule,
     mle_records,
     mle_sample,
     mle_urr,
@@ -66,6 +67,7 @@ from .intervals import (
     hpd_exact,
     hpd_hpm_calibrated,
     hpd_hpm_closed_form,
+    interval,
     length_of_alpha,
 )
 from .risk import (
@@ -135,11 +137,13 @@ __all__ = [
     "bayes_quadratic",
     "bayes_squared",
     "bayes_absolute",
+    "estimator_rule",
     "point_estimate",
     "analytic_moments",
     # intervals
     "IntervalKind",
     "CredibleInterval",
+    "interval",
     "equal_tails",
     "hpd_exact",
     "hpd_hpm_closed_form",

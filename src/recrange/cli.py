@@ -23,31 +23,14 @@ from pathlib import Path
 from ._meta import TOOL_VERSION
 from .datasets import SAMPLE_A
 from .errors import (
-    CapExhaustedError,
-    ConvergenceError,
-    DegeneratePosteriorError,
     DomainError,
     InsufficientRecordsError,
     ParseError,
     RecRangeError,
     UnsupportedEstimatorError,
 )
-from .estimators import (
-    EstimatorId,
-    analytic_moments,
-    bayes_absolute,
-    bayes_quadratic,
-    bayes_squared,
-    mle_records,
-    mle_sample,
-    mle_urr,
-)
-from .intervals import (
-    IntervalKind,
-    equal_tails,
-    hpd_exact,
-    hpd_hpm_closed_form,
-)
+from .estimators import EstimatorId, analytic_moments, estimator_rule, mle_sample
+from .intervals import IntervalKind, interval
 from .model import PriorParams, posterior_coverage, posterior_from
 from .records import extract_upper_records, record_range_sequence, truncate
 from .risk import (
@@ -283,11 +266,8 @@ def _prior_from_args(args) -> PriorParams:
     return PriorParams(a=args.a, b=args.b)
 
 
-def cmd_estimate(args) -> int:
-    values, digest = read_values(args.input)
-    prior = _prior_from_args(args)
-    estimators = parse_estimators(args.estimators)
-    summary = extract_upper_records(values)
+def _record_counts(args, summary) -> tuple[int, ...]:
+    """The --n selection (default: every count the data has), sorted and unique."""
     ns = parse_n_spec(args.n) if args.n else tuple(range(2, summary.n + 1))
     if not ns:
         raise DomainError("no record counts selected")
@@ -299,27 +279,28 @@ def cmd_estimate(args) -> int:
         raise InsufficientRecordsError(
             f"data has {summary.n} records; cannot evaluate at n={missing}"
         )
+    return tuple(sorted(set(ns)))
+
+
+def cmd_estimate(args) -> int:
+    values, digest = read_values(args.input)
+    prior = _prior_from_args(args)
+    estimators = parse_estimators(args.estimators)
+    summary = extract_upper_records(values)
+    ns = _record_counts(args, summary)
 
     sample_mean = mle_sample(values) if EstimatorId.MLE_SAMPLE in estimators else None
     rows = []
-    for n in sorted(set(ns)):
+    for n in ns:
         cut = truncate(summary, n)
         post = posterior_from(prior, cut)
         row = {"n": n}
         for est in estimators:
+            # mle_sample needs the raw series, which a record summary lacks
             if est is EstimatorId.MLE_SAMPLE:
-                value = sample_mean
-            elif est is EstimatorId.MLE_RECORDS:
-                value = mle_records(cut.values[-1], n)
-            elif est is EstimatorId.MLE_URR:
-                value = mle_urr(cut.range, n)
-            elif est is EstimatorId.BAYES_QUADRATIC:
-                value = bayes_quadratic(post)
-            elif est is EstimatorId.BAYES_SQUARED:
-                value = bayes_squared(post)
+                row[est.value] = sample_mean
             else:
-                value = bayes_absolute(post)
-            row[est.value] = value
+                row[est.value] = estimator_rule(est)(cut, post)
             if args.delta_ref is not None:
                 try:
                     mom = analytic_moments(est, args.delta_ref, n, prior)
@@ -340,7 +321,7 @@ def cmd_estimate(args) -> int:
         "a": args.a,
         "b": args.b,
         "estimators": [e.value for e in estimators],
-        "n": list(sorted(set(ns))),
+        "n": list(ns),
         "delta_ref": args.delta_ref,
     }
     manifest = RunManifest("estimate", parameters, None, digest)
@@ -348,49 +329,27 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-_KIND_CHOICES = ("equal_tails", "hpd_exact", "hpd_hpm", "all")
+_KIND_CHOICES = (*(kind.value for kind in IntervalKind), "all")
 
 
 def _kinds_from_flag(flag: str) -> tuple[IntervalKind, ...]:
-    if flag == "all":
-        return (IntervalKind.EQUAL_TAILS, IntervalKind.HPD_EXACT, IntervalKind.HPD_HPM)
-    return (IntervalKind(flag),)
+    return tuple(IntervalKind) if flag == "all" else (IntervalKind(flag),)
 
 
 def cmd_interval(args) -> int:
     values, digest = read_values(args.input)
     prior = _prior_from_args(args)
     alphas = parse_alpha_list(args.alpha)
-    if any(math.isnan(a) or not 0.0 < a < 1.0 for a in alphas):
-        raise DomainError(f"every alpha must lie in (0, 1), got {list(alphas)}")
     kinds = _kinds_from_flag(args.kind)
     summary = extract_upper_records(values)
-    ns = parse_n_spec(args.n) if args.n else tuple(range(2, summary.n + 1))
-    bad = [n for n in ns if n < 2]
-    if bad:
-        raise DomainError(f"record counts must be >= 2, got {bad}")
-    missing = [n for n in ns if n > summary.n]
-    if missing:
-        raise InsufficientRecordsError(
-            f"data has {summary.n} records; cannot evaluate at n={missing}"
-        )
+    ns = _record_counts(args, summary)
 
     rows = []
     for n in ns:
         post = posterior_from(prior, truncate(summary, n))
         for alpha in alphas:
-            # the exact interval doubles as the length scale for the
-            # closed-form approximation (its g is the target length)
-            exact = None
-            if IntervalKind.HPD_EXACT in kinds or IntervalKind.HPD_HPM in kinds:
-                exact = hpd_exact(post, alpha)
             for kind in kinds:
-                if kind is IntervalKind.EQUAL_TAILS:
-                    iv = equal_tails(post, alpha)
-                elif kind is IntervalKind.HPD_EXACT:
-                    iv = exact
-                else:
-                    iv = hpd_hpm_closed_form(post, exact.length)
+                iv = interval(kind, post, alpha)
                 rows.append(
                     {
                         "n": n,
@@ -733,24 +692,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, DomainError, UnsupportedEstimatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, UnsupportedEstimatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        InsufficientRecordsError,
-        DegeneratePosteriorError,
-        ConvergenceError,
-        CapExhaustedError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecRangeError as exc:  # anything else from this package
+    except RecRangeError as exc:  # numeric failures and anything else from here
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

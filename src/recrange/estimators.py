@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePosteriorError,
@@ -40,6 +40,7 @@ __all__ = [
     "bayes_quadratic",
     "bayes_squared",
     "bayes_absolute",
+    "estimator_rule",
     "point_estimate",
     "analytic_moments",
 ]
@@ -135,31 +136,49 @@ def bayes_absolute(post: PosteriorParams) -> float:
     return 2.0 * post.A / chi2_quantile(0.5, 2.0 * post.s)
 
 
-def point_estimate(
-    estimator: EstimatorId, summary: RecordSummary, prior: PriorParams | None = None
-) -> float:
-    """Dispatch a record-based estimator by id.
+Rule = Callable[[RecordSummary, PosteriorParams | None], float]
 
-    mle_sample is not available here: it needs the raw series, which a
-    record summary no longer carries.
+# Every record-based estimator as a rule on (summary, post). The lambdas
+# look the estimator functions up by name at call time, so replacing a
+# module attribute (as a tracer does) reaches every caller of the table.
+_RULES: dict[EstimatorId, Rule] = {
+    EstimatorId.MLE_RECORDS: lambda summary, post: mle_records(
+        summary.values[-1], summary.n
+    ),
+    EstimatorId.MLE_URR: lambda summary, post: mle_urr(summary.range, summary.n),
+    EstimatorId.BAYES_QUADRATIC: lambda summary, post: bayes_quadratic(post),
+    EstimatorId.BAYES_SQUARED: lambda summary, post: bayes_squared(post),
+    EstimatorId.BAYES_ABSOLUTE: lambda summary, post: bayes_absolute(post),
+}
+_SUMMARY_ONLY = (EstimatorId.MLE_RECORDS, EstimatorId.MLE_URR)
+
+
+def estimator_rule(estimator: EstimatorId) -> Rule:
+    """The rule rule(summary, post) of a record-based estimator.
+
+    post is the posterior built from the same summary; the two maximum
+    likelihood rules ignore it. mle_sample has no rule: it needs the raw
+    series, which a record summary no longer carries.
     """
     estimator = EstimatorId(estimator)
     if estimator is EstimatorId.MLE_SAMPLE:
         raise UnsupportedEstimatorError(
             "mle_sample needs the full series, not a record summary"
         )
-    if estimator is EstimatorId.MLE_RECORDS:
-        return mle_records(summary.values[-1], summary.n)
-    if estimator is EstimatorId.MLE_URR:
-        return mle_urr(summary.range, summary.n)
+    return _RULES[estimator]
+
+
+def point_estimate(
+    estimator: EstimatorId, summary: RecordSummary, prior: PriorParams | None = None
+) -> float:
+    """Evaluate a record-based estimator by id; Bayes rules need the prior."""
+    estimator = EstimatorId(estimator)
+    rule = estimator_rule(estimator)
+    if estimator in _SUMMARY_ONLY:
+        return rule(summary, None)
     if prior is None:
         raise DomainError(f"{estimator} needs prior parameters")
-    post = posterior_from(prior, summary)
-    if estimator is EstimatorId.BAYES_QUADRATIC:
-        return bayes_quadratic(post)
-    if estimator is EstimatorId.BAYES_SQUARED:
-        return bayes_squared(post)
-    return bayes_absolute(post)
+    return rule(summary, posterior_from(prior, summary))
 
 
 def analytic_moments(

@@ -13,6 +13,9 @@ Three constructions on the inverted-gamma posterior (shape s, scale A):
   either evaluated at a supplied g or calibrated so its posterior coverage
   hits a requested level.
 
+interval(kind, post, alpha) selects a construction by IntervalKind; its
+hpd_hpm is the closed form at g = the exact-HPD length at the same alpha.
+
 The HPD endpoints c_L < c_H have equal density and cover 1 - alpha. Write
 L = ln(c_H / c_L) > 0. Equal density, (a+n) L = A (1/c_L - 1/c_H), then
 gives both endpoints in closed form,
@@ -40,11 +43,12 @@ from .model import (
     posterior_mode,
     posterior_pdf,
 )
-from .specfun import chi2_quantile
+from .specfun import chi2_quantile, reg_lower_gamma
 
 __all__ = [
     "IntervalKind",
     "CredibleInterval",
+    "interval",
     "equal_tails",
     "hpd_exact",
     "hpd_hpm_closed_form",
@@ -62,6 +66,11 @@ _L_MAX = 600.0
 _MAX_STEPS = 100
 
 _STD_NORMAL = NormalDist()
+
+# equal_tails quantile pair and coverage residual keyed by (s, alpha);
+# emptied whenever it would grow past _ET_CACHE_SIZE entries
+_ET_CACHE: dict = {}
+_ET_CACHE_SIZE = 1024
 
 
 class IntervalKind(str, Enum):
@@ -115,19 +124,30 @@ def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
 
     The pivot 2A/delta is chi-square with 2s degrees of freedom, so the
     upper chi-square quantile maps to the lower delta endpoint and vice
-    versa.
+    versa. The coverage P(s, q_hi/2) - P(s, q_lo/2) does not depend on A,
+    so the quantile pair and the coverage residual are cached per (s, alpha).
     """
     _check_alpha(alpha)
-    nu = 2.0 * post.s
-    lower = 2.0 * post.A / chi2_quantile(1.0 - 0.5 * alpha, nu)
-    upper = 2.0 * post.A / chi2_quantile(0.5 * alpha, nu)
-    cover = posterior_coverage(lower, upper, post)
+    key = (post.s, alpha)
+    cached = _ET_CACHE.get(key)
+    if cached is None:
+        nu = 2.0 * post.s
+        q_lo = chi2_quantile(0.5 * alpha, nu)
+        q_hi = chi2_quantile(1.0 - 0.5 * alpha, nu)
+        cover = reg_lower_gamma(post.s, 0.5 * q_hi) - reg_lower_gamma(
+            post.s, 0.5 * q_lo
+        )
+        cached = (q_lo, q_hi, cover - (1.0 - alpha))
+        if len(_ET_CACHE) >= _ET_CACHE_SIZE:
+            _ET_CACHE.clear()
+        _ET_CACHE[key] = cached
+    q_lo, q_hi, residual = cached
     return CredibleInterval(
-        lower=lower,
-        upper=upper,
+        lower=2.0 * post.A / q_hi,
+        upper=2.0 * post.A / q_lo,
         level=1.0 - alpha,
         kind=IntervalKind.EQUAL_TAILS,
-        diagnostics={"coverage_residual": cover - (1.0 - alpha)},
+        diagnostics={"coverage_residual": residual},
     )
 
 
@@ -306,6 +326,24 @@ def hpd_hpm_calibrated(post: PosteriorParams, alpha: float) -> CredibleInterval:
         kind=IntervalKind.HPD_HPM,
         diagnostics=diagnostics,
     )
+
+
+def interval(
+    kind: IntervalKind, post: PosteriorParams, alpha: float
+) -> CredibleInterval:
+    """The level-(1 - alpha) interval of the given kind.
+
+    hpd_hpm is the closed form at g = the exact-HPD length at the same
+    alpha, which exists at every level; its level field reports the
+    coverage actually reached. hpd_hpm_calibrated is not a kind.
+    """
+    kind = IntervalKind(kind)
+    if kind is IntervalKind.EQUAL_TAILS:
+        return equal_tails(post, alpha)
+    exact = hpd_exact(post, alpha)
+    if kind is IntervalKind.HPD_EXACT:
+        return exact
+    return hpd_hpm_closed_form(post, exact.length)
 
 
 def length_of_alpha(

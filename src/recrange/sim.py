@@ -16,18 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientRecordsError
-from .estimators import (
-    EstimatorId,
-    analytic_moments,
-    bayes_quadratic,
-    bayes_squared,
-    mle_records,
-    mle_urr,
-)
-from .intervals import IntervalKind, hpd_exact, hpd_hpm_calibrated
+from .estimators import EstimatorId, analytic_moments, estimator_rule
+from .intervals import IntervalKind, interval
 from .model import PriorParams, posterior_from
 from .records import extract_upper_records, sample_records_direct, truncate
-from .specfun import chi2_quantile
 
 __all__ = [
     "SimConfig",
@@ -64,11 +56,11 @@ class SimConfig:
     """One simulation request.
 
     n_records may be a single record count or a list of them; each count is
-    run as its own block over the same repetition budget. estimators and
-    alpha_list select what run_point_sim and run_interval_sim compute;
-    interval_kinds defaults to equal tails only, because the exact HPD
-    solver at high repetition counts is a deliberate (slow) choice. workers
-    splits repetitions over processes without changing any output bit.
+    run over the same repetition budget. estimators and alpha_list select
+    what run_point_sim and run_interval_sim compute; interval_kinds names
+    constructions as intervals.interval does (hpd_hpm is the closed form at
+    the exact-HPD length) and defaults to equal tails only. workers splits
+    repetitions over processes without changing any output bit.
     """
 
     delta_true: float
@@ -171,37 +163,24 @@ def _chunks(reps: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _point_block(
-    delta: float,
     n: int,
     seed: int,
     lo: int,
     hi: int,
+    delta: float,
     estimators: tuple[EstimatorId, ...],
     a: float,
     b: float,
 ) -> np.ndarray:
     """Estimates for repetitions lo..hi-1, one row per repetition."""
     prior = PriorParams(a=a, b=b)
-    # the posterior-median quantile depends only on (a, n): hoist it
-    q_med = None
-    if EstimatorId.BAYES_ABSOLUTE in estimators:
-        q_med = chi2_quantile(0.5, 2.0 * (a + n - 1.0))
-    out = np.empty((hi - lo, len(estimators)))
+    rules = [estimator_rule(est) for est in estimators]
+    out = np.empty((hi - lo, len(rules)))
     for i, rep in enumerate(range(lo, hi)):
         summary = sample_records_direct(delta, n, derive_rep_seed(seed, rep, n))
         post = posterior_from(prior, summary)
-        for j, est in enumerate(estimators):
-            if est is EstimatorId.MLE_RECORDS:
-                value = mle_records(summary.values[-1], n)
-            elif est is EstimatorId.MLE_URR:
-                value = mle_urr(summary.range, n)
-            elif est is EstimatorId.BAYES_QUADRATIC:
-                value = bayes_quadratic(post)
-            elif est is EstimatorId.BAYES_SQUARED:
-                value = bayes_squared(post)
-            else:
-                value = 2.0 * post.A / q_med  # bayes_absolute, quantile hoisted
-            out[i, j] = value
+        for j, rule in enumerate(rules):
+            out[i, j] = rule(summary, post)
     return out
 
 
@@ -213,7 +192,6 @@ def _interval_block(
     cells: tuple[tuple[IntervalKind, float], ...],
     a: float,
     b: float,
-    quantiles: dict,
 ) -> np.ndarray:
     """(covered, length) pairs for repetitions lo..hi-1."""
     prior = PriorParams(a=a, b=b)
@@ -224,29 +202,31 @@ def _interval_block(
         summary = sample_records_direct(delta, n, rng)
         post = posterior_from(prior, summary)
         for j, (kind, alpha) in enumerate(cells):
-            if kind is IntervalKind.EQUAL_TAILS:
-                # same closed form as intervals.equal_tails, with the
-                # (alpha, n)-constant quantile pair hoisted out of the loop
-                q_lo, q_hi = quantiles[alpha]
-                lower = 2.0 * post.A / q_hi
-                upper = 2.0 * post.A / q_lo
-            elif kind is IntervalKind.HPD_EXACT:
-                iv = hpd_exact(post, alpha)
-                lower, upper = iv.lower, iv.upper
-            else:
-                iv = hpd_hpm_calibrated(post, alpha)
-                lower, upper = iv.lower, iv.upper
-            out[i, j, 0] = 1.0 if lower <= delta <= upper else 0.0
-            out[i, j, 1] = upper - lower
+            iv = interval(kind, post, alpha)
+            out[i, j, 0] = 1.0 if iv.lower <= delta <= iv.upper else 0.0
+            out[i, j, 1] = iv.length
     return out
 
 
-def _gather(fn, argsets, workers: int) -> list[np.ndarray]:
-    if workers <= 1 or len(argsets) <= 1:
-        return [fn(*args) for args in argsets]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in argsets]
-        return [f.result() for f in futures]  # submission order == index order
+def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
+    """block(n, seed, lo, hi, *args) over every record count and chunk.
+
+    Every task of the study goes to one pool, sized by the task count. The
+    result holds one array per record count, rows in repetition order.
+    """
+    chunks = _chunks(config.reps, config.workers)
+    tasks = [
+        (n, config.seed, lo, hi, *args) for n in config.n_records for lo, hi in chunks
+    ]
+    workers = min(config.workers, len(tasks))
+    if workers <= 1:
+        blocks = [block(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(block, *task) for task in tasks]
+            blocks = [f.result() for f in futures]  # submission order == index order
+    k = len(chunks)
+    return [np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)]
 
 
 def run_point_sim(config: SimConfig) -> SimResult:
@@ -262,22 +242,16 @@ def run_point_sim(config: SimConfig) -> SimResult:
         raise DomainError(
             "mle_sample needs a full series; direct record sampling has none"
         )
+    per_n = _run_blocks(
+        _point_block,
+        config,
+        config.delta_true,
+        config.estimators,
+        config.prior.a,
+        config.prior.b,
+    )
     rows: list[PointRow] = []
-    for n in config.n_records:
-        argsets = [
-            (
-                config.delta_true,
-                n,
-                config.seed,
-                lo,
-                hi,
-                config.estimators,
-                config.prior.a,
-                config.prior.b,
-            )
-            for lo, hi in _chunks(config.reps, config.workers)
-        ]
-        estimates = np.concatenate(_gather(_point_block, argsets, config.workers))
+    for n, estimates in zip(config.n_records, per_n):
         errors = estimates - config.delta_true
         for j, est in enumerate(config.estimators):
             moments = analytic_moments(est, config.delta_true, n, config.prior)
@@ -312,23 +286,11 @@ def run_interval_sim(config: SimConfig) -> SimResult:
         for kind in config.interval_kinds
         for alpha in config.alpha_list
     )
+    per_n = _run_blocks(
+        _interval_block, config, cells, config.prior.a, config.prior.b
+    )
     rows: list[IntervalRow] = []
-    for n in config.n_records:
-        quantiles = {}
-        if IntervalKind.EQUAL_TAILS in config.interval_kinds:
-            nu = 2.0 * (config.prior.a + n - 1.0)
-            quantiles = {
-                alpha: (
-                    chi2_quantile(0.5 * alpha, nu),
-                    chi2_quantile(1.0 - 0.5 * alpha, nu),
-                )
-                for alpha in config.alpha_list
-            }
-        argsets = [
-            (n, config.seed, lo, hi, cells, config.prior.a, config.prior.b, quantiles)
-            for lo, hi in _chunks(config.reps, config.workers)
-        ]
-        stats = np.concatenate(_gather(_interval_block, argsets, config.workers))
+    for n, stats in zip(config.n_records, per_n):
         for j, (kind, alpha) in enumerate(cells):
             rows.append(
                 IntervalRow(
@@ -358,13 +320,6 @@ def reproduce_table1(data, prior: PriorParams) -> list[TableRow]:
         cut = truncate(summary, n)
         post = posterior_from(prior, cut)
         for est in _TABLE1_ESTIMATORS:
-            if est is EstimatorId.MLE_RECORDS:
-                value = mle_records(cut.values[-1], n)
-            elif est is EstimatorId.MLE_URR:
-                value = mle_urr(cut.range, n)
-            elif est is EstimatorId.BAYES_QUADRATIC:
-                value = bayes_quadratic(post)
-            else:
-                value = bayes_squared(post)
+            value = estimator_rule(est)(cut, post)
             rows.append(TableRow(n=n, estimator_id=est, value=value))
     return rows

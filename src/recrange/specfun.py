@@ -36,6 +36,11 @@ _FPMIN = 1e-300
 
 _STD_NORMAL = NormalDist()
 
+# chi2_quantile results keyed by (p, nu, tol); emptied whenever it would
+# grow past _QUANTILE_MEMO_SIZE entries
+_QUANTILE_MEMO: dict = {}
+_QUANTILE_MEMO_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -185,8 +190,21 @@ def chi2_quantile(p: float, nu: float, tol: ToleranceConfig = DEFAULT_TOL) -> fl
     Solves reg_lower_gamma(nu/2, x/2) = p for x. The Wilson-Hilferty cube
     approximation seeds a Newton iteration on the CDF residual; every step is
     safeguarded by a sign-change bracket and falls back to bisection whenever
-    Newton would leave it. Strictly increasing in p.
+    Newton would leave it. Strictly increasing in p. Results are memoised
+    per (p, nu, tol) in a bounded table, so repeated levels cost a lookup.
     """
+    key = (p, nu, tol)
+    hit = _QUANTILE_MEMO.get(key)
+    if hit is not None:
+        return hit
+    x = _chi2_quantile(p, nu, tol)
+    if len(_QUANTILE_MEMO) >= _QUANTILE_MEMO_SIZE:
+        _QUANTILE_MEMO.clear()
+    _QUANTILE_MEMO[key] = x
+    return x
+
+
+def _chi2_quantile(p: float, nu: float, tol: ToleranceConfig) -> float:
     if math.isnan(p) or math.isnan(nu):
         raise DomainError("chi2_quantile does not accept nan arguments")
     if not 0.0 < p < 1.0:

@@ -206,6 +206,31 @@ class TestInterval:
         assert code == 2
 
 
+class TestRecordCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate"], ["interval", "--kind", "equal_tails"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_selection_is_sorted_unique_and_never_empty(
+        self, invoke, tmp_path, sample_a_file, argv
+    ):
+        one = tmp_path / "one.txt"
+        one.write_text("3.5\n1.0\n2.0\n")  # a single upper record
+        code, out, err = invoke(*argv, str(one), "--a", "3", "--b", "5")
+        assert (code, out) == (2, "")
+        assert "no record counts selected" in err
+
+        code, out, _ = invoke(
+            *argv, str(sample_a_file), "--a", "3", "--b", "5", "--n", "4,2,4",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["n"] for r in doc["rows"]] == [2, 4]
+        assert doc["manifest"]["parameters"]["n"] == [2, 4]
+
+
 class TestSimulate:
     def test_point_mode_writes_artifacts(self, invoke, tmp_path):
         out_prefix = tmp_path / "run"
@@ -267,6 +292,21 @@ class TestSimulate:
         row = doc["rows"][0]
         assert row["kind"] == "equal_tails"
         assert 0.0 <= row["empirical_coverage"] <= 1.0
+
+    def test_interval_mode_all_kinds(self, invoke, tmp_path):
+        code, _, err = invoke(
+            "simulate", "--mode", "interval", "--a", "3", "--b", "4", "--n", "3",
+            "--reps", "50", "--alpha", "0.1", "--kind", "all",
+            "--out", str(tmp_path / "all"),
+        )
+        assert code == 0, err
+        doc = json.loads((tmp_path / "all.json").read_text())
+        rows = {r["kind"]: r for r in doc["rows"]}
+        assert set(rows) == {"equal_tails", "hpd_exact", "hpd_hpm"}
+        hpm, exact = rows["hpd_hpm"], rows["hpd_exact"]
+        assert math.isclose(hpm["mean_length"], exact["mean_length"], rel_tol=1e-12)
+        for row in rows.values():
+            assert 0.0 <= row["empirical_coverage"] <= 1.0
 
 
 class TestRisk:

@@ -20,6 +20,7 @@ from recrange import (
     bayes_squared,
     chi2_quantile,
     datasets,
+    estimator_rule,
     mle_records,
     mle_sample,
     mle_urr,
@@ -189,6 +190,31 @@ class TestPointEstimateDispatch:
     def test_sample_mle_unsupported(self, summary):
         with pytest.raises(UnsupportedEstimatorError):
             point_estimate(EstimatorId.MLE_SAMPLE, summary)
+
+
+class TestEstimatorRule:
+    def test_rules_match_the_estimator_functions(self):
+        summary = RecordSummary(values=(1.0, 2.0, 4.0, 6.0), times=(1, 2, 3, 4))
+        p = posterior_from(PriorParams(a=3.0, b=5.0), summary)
+        want = {
+            EstimatorId.MLE_RECORDS: mle_records(6.0, 4),
+            EstimatorId.MLE_URR: mle_urr(5.0, 4),
+            EstimatorId.BAYES_QUADRATIC: bayes_quadratic(p),
+            EstimatorId.BAYES_SQUARED: bayes_squared(p),
+            EstimatorId.BAYES_ABSOLUTE: bayes_absolute(p),
+        }
+        for est, value in want.items():
+            assert estimator_rule(est)(summary, p) == value
+            assert estimator_rule(est.value)(summary, p) == value
+
+    def test_mle_sample_has_no_rule(self):
+        with pytest.raises(UnsupportedEstimatorError):
+            estimator_rule(EstimatorId.MLE_SAMPLE)
+
+    def test_record_mles_work_on_a_single_record(self):
+        one = RecordSummary(values=(3.0,), times=(1,))
+        prior = PriorParams(a=3.0, b=5.0)
+        assert point_estimate(EstimatorId.MLE_RECORDS, one, prior) == 3.0
 
 
 class TestAnalyticMoments:

@@ -13,11 +13,13 @@ from recrange import (
     IntervalKind,
     PosteriorParams,
     PriorParams,
+    chi2_quantile,
     equal_tails,
     extract_upper_records,
     hpd_exact,
     hpd_hpm_calibrated,
     hpd_hpm_closed_form,
+    interval,
     length_of_alpha,
     posterior_coverage,
     posterior_from,
@@ -128,6 +130,19 @@ class TestEqualTails:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(DomainError):
             equal_tails(post(4.0, 9.319232), alpha)
+
+    @pytest.mark.parametrize("s", [0.05, 1.0, 4.0, 37.5, 2e3, 1e5])
+    def test_cached_pair_gives_the_closed_form_bit_for_bit(self, s):
+        for A in (1e-3, 0.7, 9.319232, 4e4):
+            p = post(s, A)
+            for alpha in (1e-6, 0.05, 0.1, 0.5, 0.999):
+                iv = equal_tails(p, alpha)
+                assert iv.lower == 2.0 * A / chi2_quantile(1.0 - 0.5 * alpha, 2.0 * s)
+                assert iv.upper == 2.0 * A / chi2_quantile(0.5 * alpha, 2.0 * s)
+                residual = iv.diagnostics["coverage_residual"]
+                assert abs(residual) <= 1e-12
+                direct = posterior_coverage(iv.lower, iv.upper, p) - (1.0 - alpha)
+                assert abs(residual - direct) <= 1e-12
 
 
 class TestHpdExact:
@@ -286,6 +301,31 @@ class TestHpmCalibrated:
         # conventional 90% request cannot be met; the error says so
         with pytest.raises(BracketFailureError, match="peaks near"):
             hpd_hpm_calibrated(post_small, 0.10)
+
+
+class TestIntervalDispatch:
+    def test_each_kind_is_its_construction(self, post_small):
+        exact = hpd_exact(post_small, 0.10)
+        assert interval(IntervalKind.EQUAL_TAILS, post_small, 0.10) == equal_tails(
+            post_small, 0.10
+        )
+        assert interval(IntervalKind.HPD_EXACT, post_small, 0.10) == exact
+        assert interval("hpd_hpm", post_small, 0.10) == hpd_hpm_closed_form(
+            post_small, exact.length
+        )
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.10, 0.50, 0.95])
+    def test_hpd_hpm_exists_at_every_level(self, post_small, alpha):
+        # the calibrated variant cannot reach 0.90 here; the dispatched
+        # kind is the closed form at the exact-HPD length, so it always can
+        iv = interval(IntervalKind.HPD_HPM, post_small, alpha)
+        assert iv.kind is IntervalKind.HPD_HPM
+        exact = hpd_exact(post_small, alpha)
+        assert math.isclose(iv.length, exact.length, rel_tol=1e-12)
+
+    def test_rejects_unknown_kind(self, post_small):
+        with pytest.raises(ValueError):
+            interval("hpd_hpm_calibrated", post_small, 0.10)
 
 
 class TestLengthOfAlpha:

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import math
 import pickle
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from recrange import sim
 from recrange import (
     DomainError,
     EstimatorId,
@@ -177,19 +180,21 @@ class TestIntervalSim:
             <= rows[IntervalKind.EQUAL_TAILS].mean_length
         )
 
-    def test_calibrated_hpm_runs_at_attainable_levels(self):
+    def test_hpd_hpm_length_equals_exact_hpd_length(self):
+        # hpd_hpm is the closed form at the exact-HPD length, so it exists
+        # at alpha 0.10, where the coverage-calibrated variant cannot
         cfg = SimConfig(
             delta_true=1.0, n_records=3, reps=60, seed=29,
             prior=PriorParams(a=3.0, b=4.0),
-            alpha_list=(0.95,),
-            interval_kinds=(
-                IntervalKind.EQUAL_TAILS,
-                IntervalKind.HPD_EXACT,
-                IntervalKind.HPD_HPM,
-            ),
+            alpha_list=(0.10,),
+            interval_kinds=tuple(IntervalKind),
         )
         rows = {row.kind: row for row in run_interval_sim(cfg).interval_rows}
-        assert rows[IntervalKind.HPD_HPM].mean_length >= rows[IntervalKind.HPD_EXACT].mean_length
+        assert math.isclose(
+            rows[IntervalKind.HPD_HPM].mean_length,
+            rows[IntervalKind.HPD_EXACT].mean_length,
+            rel_tol=1e-12,
+        )
         for row in rows.values():
             assert 0.0 <= row.empirical_coverage <= 1.0
 
@@ -215,6 +220,58 @@ class TestIntervalSim:
                     prior=PriorParams(a=1.0, b=0.0), alpha_list=(0.1,),
                 )
             )
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in: records max_workers, runs tasks at submit."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPool:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            sim, "ProcessPoolExecutor", functools.partial(_InlinePool, started)
+        )
+        return started
+
+    @pytest.mark.parametrize(
+        "n_records, reps, workers, pools",
+        [
+            ((4,), 3, 8, [3]),  # fewer repetitions than workers
+            ((3, 4, 5), 1, 8, [3]),  # one task per record count, one pool
+            ((3, 4, 5), 10, 2, [2]),  # six tasks share two workers
+            ((3, 4), 10, 1, []),  # workers=1 never starts a pool
+        ],
+        ids=["reps_below_workers", "task_per_n", "tasks_above_workers", "serial"],
+    )
+    def test_one_pool_per_study_sized_by_tasks(
+        self, started, n_records, reps, workers, pools
+    ):
+        cfg = dict(
+            delta_true=1.0, n_records=n_records, reps=reps, seed=3,
+            prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1,),
+        )
+        point = run_point_sim(SimConfig(**cfg, workers=workers))
+        coverage = run_interval_sim(SimConfig(**cfg, workers=workers))
+        assert started == pools + pools
+        assert point.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
+        serial = run_interval_sim(SimConfig(**cfg))
+        assert coverage.interval_rows == serial.interval_rows
 
 
 class TestResultRows:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
+from recrange import specfun
 from recrange import (
     ConvergenceError,
     DomainError,
@@ -183,6 +184,20 @@ class TestChi2Quantile:
     def test_round_trip(self, p, nu):
         q = chi2_quantile(p, nu)
         assert abs(reg_lower_gamma(0.5 * nu, 0.5 * q) - p) < 1e-9
+
+    def test_repeat_call_returns_the_same_float(self):
+        first = chi2_quantile(0.3, 7.25)
+        assert chi2_quantile(0.3, 7.25) is first
+
+    def test_memo_stays_within_its_bound(self):
+        for i in range(specfun._QUANTILE_MEMO_SIZE + 50):
+            chi2_quantile(0.5, 1.0 + 1e-3 * i)
+        assert len(specfun._QUANTILE_MEMO) <= specfun._QUANTILE_MEMO_SIZE
+
+    def test_memo_keys_on_the_tolerance(self):
+        chi2_quantile(0.5, 8.0)
+        with pytest.raises(ConvergenceError):
+            chi2_quantile(0.5, 8.0, tol=ToleranceConfig(max_iter=1))
 
 
 class TestToleranceConfig:
