@@ -21,8 +21,6 @@ from .errors import (
     UnsupportedEstimatorError,
 )
 from .specfun import (
-    DEFAULT_TOL,
-    ToleranceConfig,
     chi2_quantile,
     gen_incomplete_gamma,
     ln_gamma,
@@ -47,7 +45,6 @@ from .model import (
     range_pdf,
 )
 from .estimators import (
-    EstimateReport,
     EstimatorId,
     Moments,
     analytic_moments,
@@ -105,8 +102,6 @@ __all__ = [
     "BracketFailureError",
     "CapExhaustedError",
     # special functions
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "ln_gamma",
     "reg_lower_gamma",
     "gen_incomplete_gamma",
@@ -130,7 +125,6 @@ __all__ = [
     # estimators
     "EstimatorId",
     "Moments",
-    "EstimateReport",
     "mle_sample",
     "mle_records",
     "mle_urr",

@@ -16,7 +16,6 @@ law of the range in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,7 +32,6 @@ from .specfun import chi2_quantile
 __all__ = [
     "EstimatorId",
     "Moments",
-    "EstimateReport",
     "mle_sample",
     "mle_records",
     "mle_urr",
@@ -66,21 +64,6 @@ class Moments(NamedTuple):
     mean: float
     variance: float
     mse: float
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """One computed estimate, optionally with its closed-form moments.
-
-    The analytic fields are filled only when a reference scale was supplied
-    to evaluate them at; they stay None otherwise.
-    """
-
-    estimator_id: EstimatorId
-    value: float
-    analytic_mean: float | None = None
-    analytic_variance: float | None = None
-    analytic_mse: float | None = None
 
 
 def mle_sample(data: Sequence[float]) -> float:

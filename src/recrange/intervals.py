@@ -30,6 +30,7 @@ C(L) = 1 - alpha (Chen & Shao 1999 discuss HPD computation in general).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,11 +67,6 @@ _L_MAX = 600.0
 _MAX_STEPS = 100
 
 _STD_NORMAL = NormalDist()
-
-# equal_tails quantile pair and coverage residual keyed by (s, alpha);
-# emptied whenever it would grow past _ET_CACHE_SIZE entries
-_ET_CACHE: dict = {}
-_ET_CACHE_SIZE = 1024
 
 
 class IntervalKind(str, Enum):
@@ -128,20 +124,7 @@ def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
     so the quantile pair and the coverage residual are cached per (s, alpha).
     """
     _check_alpha(alpha)
-    key = (post.s, alpha)
-    cached = _ET_CACHE.get(key)
-    if cached is None:
-        nu = 2.0 * post.s
-        q_lo = chi2_quantile(0.5 * alpha, nu)
-        q_hi = chi2_quantile(1.0 - 0.5 * alpha, nu)
-        cover = reg_lower_gamma(post.s, 0.5 * q_hi) - reg_lower_gamma(
-            post.s, 0.5 * q_lo
-        )
-        cached = (q_lo, q_hi, cover - (1.0 - alpha))
-        if len(_ET_CACHE) >= _ET_CACHE_SIZE:
-            _ET_CACHE.clear()
-        _ET_CACHE[key] = cached
-    q_lo, q_hi, residual = cached
+    q_lo, q_hi, residual = _equal_tails_pivots(post.s, alpha)
     return CredibleInterval(
         lower=2.0 * post.A / q_hi,
         upper=2.0 * post.A / q_lo,
@@ -149,6 +132,17 @@ def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
         kind=IntervalKind.EQUAL_TAILS,
         diagnostics={"coverage_residual": residual},
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _equal_tails_pivots(s: float, alpha: float) -> tuple[float, float, float]:
+    # chi-square quantiles at alpha/2 and 1 - alpha/2 on 2s dof, and the
+    # coverage residual of the equal-tails interval they span
+    nu = 2.0 * s
+    q_lo = chi2_quantile(0.5 * alpha, nu)
+    q_hi = chi2_quantile(1.0 - 0.5 * alpha, nu)
+    cover = reg_lower_gamma(s, 0.5 * q_hi) - reg_lower_gamma(s, 0.5 * q_lo)
+    return q_lo, q_hi, cover - (1.0 - alpha)
 
 
 def _log_ratio_guess(s: float, alpha: float) -> float:

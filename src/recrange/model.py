@@ -55,27 +55,24 @@ class PriorParams:
 class PosteriorParams:
     """Inverted-gamma posterior: shape s = a + n - 1, scale A = b + r.
 
-    a_plus_n is carried explicitly because the density exponent (a + n) and
-    the incomplete-gamma shape (a + n - 1) differ by one and are easy to
-    conflate; storing both keeps them independently checkable. When omitted
-    it defaults to s + 1, which is the only consistent value.
+    The density exponent a + n and the incomplete-gamma shape a + n - 1
+    differ by one and are easy to conflate, so the exponent has its own
+    name, a_plus_n, always derived as s + 1.
     """
 
     s: float
     A: float
-    a_plus_n: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.s) and self.s > 0.0):
             raise DomainError(f"posterior shape s must be positive, got {self.s!r}")
         if not (math.isfinite(self.A) and self.A > 0.0):
             raise DomainError(f"posterior scale A must be positive, got {self.A!r}")
-        if self.a_plus_n is None:
-            object.__setattr__(self, "a_plus_n", self.s + 1.0)
-        elif not math.isclose(self.a_plus_n, self.s + 1.0, rel_tol=1e-9):
-            raise DomainError(
-                f"a_plus_n must equal s + 1; got {self.a_plus_n!r} with s={self.s!r}"
-            )
+
+    @property
+    def a_plus_n(self) -> float:
+        """The density exponent a + n, i.e. s + 1."""
+        return self.s + 1.0
 
 
 def posterior_from(prior: PriorParams, summary: RecordSummary) -> PosteriorParams:
@@ -84,10 +81,7 @@ def posterior_from(prior: PriorParams, summary: RecordSummary) -> PosteriorParam
         raise InsufficientRecordsError(
             "the posterior needs at least 2 records to form a range"
         )
-    n = summary.n
-    return PosteriorParams(
-        s=prior.a + n - 1.0, A=prior.b + summary.range, a_plus_n=prior.a + n
-    )
+    return PosteriorParams(s=prior.a + summary.n - 1.0, A=prior.b + summary.range)
 
 
 def range_pdf(r: float, n: int, delta: float) -> float:

@@ -10,6 +10,7 @@ values in workers, and reduce strictly in index order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ class SimConfig:
     what run_point_sim and run_interval_sim compute; interval_kinds names
     constructions as intervals.interval does (hpd_hpm is the closed form at
     the exact-HPD length) and defaults to equal tails only. workers splits
-    repetitions over processes without changing any output bit.
+    repetitions over processes, at most one per usable CPU, without changing
+    any output bit.
     """
 
     delta_true: float
@@ -208,17 +210,26 @@ def _interval_block(
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the CPU count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
     """block(n, seed, lo, hi, *args) over every record count and chunk.
 
-    Every task of the study goes to one pool, sized by the task count. The
-    result holds one array per record count, rows in repetition order.
+    Every task of the study goes to one pool, sized by the task count and
+    capped at the usable CPUs, since more processes only compete for them.
+    The result holds one array per record count, rows in repetition order.
     """
     chunks = _chunks(config.reps, config.workers)
     tasks = [
         (n, config.seed, lo, hi, *args) for n in config.n_records for lo, hi in chunks
     ]
-    workers = min(config.workers, len(tasks))
+    workers = min(config.workers, len(tasks), _usable_cpus())
     if workers <= 1:
         blocks = [block(*task) for task in tasks]
     else:

@@ -7,21 +7,24 @@ x < s + 1, continued fraction (modified Lentz) elsewhere. The quantile
 inverts the regularized gamma with a Wilson-Hilferty starting value refined
 by bracketed Newton steps.
 
-All routines are pure scalar functions; iteration control is carried by an
-explicit :class:`ToleranceConfig` so callers can trade accuracy for speed.
+All routines are pure scalar functions at fixed tolerances: the sums stop at
+a relative term of 1e-14, the quantile at a CDF residual of 1e-13 or 1e-10
+of the smaller tail, whichever is tighter, and every loop is capped (see the
+constants below). Quantiles deep in the lower tail therefore keep their
+significant digits down to the smallest normal float, below which they
+raise ConvergenceError. Near p = 1 the accuracy is bounded by the rounding
+of p itself: an upper tail 1 - p of 5e-9 is known to about 1e-8 relative.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "ln_gamma",
     "reg_lower_gamma",
     "gen_incomplete_gamma",
@@ -36,36 +39,17 @@ _FPMIN = 1e-300
 
 _STD_NORMAL = NormalDist()
 
-# chi2_quantile results keyed by (p, nu, tol); emptied whenever it would
-# grow past _QUANTILE_MEMO_SIZE entries
-_QUANTILE_MEMO: dict = {}
-_QUANTILE_MEMO_SIZE = 1024
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Iteration control for the series, continued-fraction and Newton loops.
-
-    abs_tol bounds the residual accepted by the quantile inversion, rel_tol
-    terminates the series/continued-fraction sums, and max_iter caps every
-    loop so no input can hang the caller (the incomplete-gamma sums scale it
-    by ceil(sqrt(s) / 25), since near x = s they need about 8 sqrt(s) terms).
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-14
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be at least 1, got {self.max_iter!r}")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# the series and continued-fraction sums stop once a term changes the total
+# by less than this relative amount
+_SUM_RTOL = 1e-14
+# the quantile accepts a CDF residual up to this, or up to _QUANTILE_TAIL_RTOL
+# times the smaller tail min(p, 1 - p) when that is tighter
+_QUANTILE_ATOL = 1e-13
+_QUANTILE_TAIL_RTOL = 1e-10
+# cap on every loop, so no input can hang a caller; the incomplete-gamma sums
+# scale it by ceil(sqrt(s) / 25), since near x = s they need about 8 sqrt(s)
+# terms
+_MAX_ITER = 500
 
 
 def ln_gamma(x: float) -> float:
@@ -79,7 +63,7 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def reg_lower_gamma(s: float, x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def reg_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
 
     Power series for x < s + 1, modified-Lentz continued fraction for the
@@ -112,15 +96,13 @@ def reg_lower_gamma(s: float, x: float, tol: ToleranceConfig = DEFAULT_TOL) -> f
         # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
         return 1.0 if x > s else 0.0
 
-    # near x = s both expansions need about 8 sqrt(s) terms, so the loop cap
-    # grows with sqrt(s); it is max_iter itself up to s = 625
-    max_iter = tol.max_iter * max(1, math.ceil(math.sqrt(s) / 25.0))
+    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
     if x < s + 1.0:
-        return math.exp(log_front) * _lower_series(s, x, tol.rel_tol, max_iter)
-    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, tol.rel_tol, max_iter)
+        return math.exp(log_front) * _lower_series(s, x, max_iter)
+    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, max_iter)
 
 
-def _lower_series(s: float, x: float, rel_tol: float, max_iter: int) -> float:
+def _lower_series(s: float, x: float, max_iter: int) -> float:
     # P(s, x) * Gamma(s) / (x^s e^-x) = sum_k x^k / (s (s+1) ... (s+k))
     denom = s
     term = 1.0 / s
@@ -129,7 +111,7 @@ def _lower_series(s: float, x: float, rel_tol: float, max_iter: int) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * rel_tol:
+        if abs(term) < abs(total) * _SUM_RTOL:
             return total
     raise ConvergenceError(
         f"incomplete gamma series did not converge for s={s}, x={x} "
@@ -137,7 +119,7 @@ def _lower_series(s: float, x: float, rel_tol: float, max_iter: int) -> float:
     )
 
 
-def _upper_cont_frac(s: float, x: float, rel_tol: float, max_iter: int) -> float:
+def _upper_cont_frac(s: float, x: float, max_iter: int) -> float:
     # Q(s, x) * Gamma(s) / (x^s e^-x) via the standard even-odd contracted
     # continued fraction, evaluated with the modified Lentz method.
     b = x + 1.0 - s
@@ -156,7 +138,7 @@ def _upper_cont_frac(s: float, x: float, rel_tol: float, max_iter: int) -> float
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < rel_tol:
+        if abs(delta - 1.0) < _SUM_RTOL:
             return h
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge for s={s}, "
@@ -164,9 +146,7 @@ def _upper_cont_frac(s: float, x: float, rel_tol: float, max_iter: int) -> float
     )
 
 
-def gen_incomplete_gamma(
-    s: float, x_lo: float, x_hi: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def gen_incomplete_gamma(s: float, x_lo: float, x_hi: float) -> float:
     """Generalized incomplete gamma: integral of t^(s-1) e^-t over [x_lo, x_hi].
 
     Equals Gamma(s) * (P(s, x_hi) - P(s, x_lo)). Requires 0 <= x_lo <= x_hi;
@@ -178,33 +158,28 @@ def gen_incomplete_gamma(
         raise DomainError(f"x_lo must be finite and nonnegative, got {x_lo!r}")
     if x_hi < x_lo:
         raise DomainError(f"need x_lo <= x_hi, got x_lo={x_lo!r}, x_hi={x_hi!r}")
-    diff = reg_lower_gamma(s, x_hi, tol) - reg_lower_gamma(s, x_lo, tol)
+    diff = reg_lower_gamma(s, x_hi) - reg_lower_gamma(s, x_lo)
     if diff < 0.0:
         diff = 0.0  # rounding near equal endpoints must not go negative
     return math.exp(math.lgamma(s)) * diff
 
 
-def chi2_quantile(p: float, nu: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def chi2_quantile(p: float, nu: float) -> float:
     """Quantile of the chi-square distribution with nu degrees of freedom.
 
     Solves reg_lower_gamma(nu/2, x/2) = p for x. The Wilson-Hilferty cube
-    approximation seeds a Newton iteration on the CDF residual; every step is
+    approximation (or, deep in the lower tail, the leading-order series
+    inverse) seeds a Newton iteration on the CDF residual (on its logarithm
+    while the CDF exceeds a tiny p a thousandfold); every step is
     safeguarded by a sign-change bracket and falls back to bisection whenever
     Newton would leave it. Strictly increasing in p. Results are memoised
-    per (p, nu, tol) in a bounded table, so repeated levels cost a lookup.
+    per (p, nu) in a bounded table, so repeated levels cost a lookup.
     """
-    key = (p, nu, tol)
-    hit = _QUANTILE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    x = _chi2_quantile(p, nu, tol)
-    if len(_QUANTILE_MEMO) >= _QUANTILE_MEMO_SIZE:
-        _QUANTILE_MEMO.clear()
-    _QUANTILE_MEMO[key] = x
-    return x
+    return _chi2_quantile(p, nu)
 
 
-def _chi2_quantile(p: float, nu: float, tol: ToleranceConfig) -> float:
+@functools.lru_cache(maxsize=1024)
+def _chi2_quantile(p: float, nu: float) -> float:
     if math.isnan(p) or math.isnan(nu):
         raise DomainError("chi2_quantile does not accept nan arguments")
     if not 0.0 < p < 1.0:
@@ -214,9 +189,13 @@ def _chi2_quantile(p: float, nu: float, tol: ToleranceConfig) -> float:
 
     s = 0.5 * nu
     lg = math.lgamma(s)
+    # relative to the smaller tail, so a tiny lower tail keeps its significant
+    # digits; near p = 1 the bracket collapse ends the solve at the rounding
+    # of p
+    tol = min(_QUANTILE_ATOL, _QUANTILE_TAIL_RTOL * min(p, 1.0 - p))
 
     def residual(x: float) -> float:
-        return reg_lower_gamma(s, 0.5 * x, tol) - p
+        return reg_lower_gamma(s, 0.5 * x) - p
 
     def density(x: float) -> float:
         # chi-square pdf; 0.0 when the log underflows far in the tails
@@ -226,17 +205,24 @@ def _chi2_quantile(p: float, nu: float, tol: ToleranceConfig) -> float:
         return 0.5 * math.exp(log_pdf)
 
     # Wilson-Hilferty start; for small p (or tiny nu) it can collapse to a
-    # nonpositive value, where the leading-order series inverse is better
+    # nonpositive value, where the leading-order series inverse
+    # P(s, x/2) ~ (x/2)^s / Gamma(s + 1) is better
     z = _STD_NORMAL.inv_cdf(p)
     c = 2.0 / (9.0 * nu)
     x = nu * (1.0 - c + z * math.sqrt(c)) ** 3
     if x <= 0.0 or not math.isfinite(x):
-        x = 2.0 * math.exp((math.log(p) + math.lgamma(s + 1.0)) / s)
+        log_half = (math.log(p) + math.lgamma(s + 1.0)) / s
+        if log_half < _LOG_TINY:
+            raise ConvergenceError(
+                f"the chi-square quantile for p={p}, nu={nu} lies below the "
+                "smallest normal float"
+            )
+        x = 2.0 * math.exp(log_half)
 
     lo = 0.0
     hi = max(x, 1e-8)
     fhi = residual(hi)
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         if fhi >= 0.0:
             break
         lo = hi
@@ -247,10 +233,12 @@ def _chi2_quantile(p: float, nu: float, tol: ToleranceConfig) -> float:
             f"failed to bracket the chi-square quantile for p={p}, nu={nu}"
         )
 
-    x = min(max(x, lo + 0.25 * (hi - lo)), hi)
-    for _ in range(tol.max_iter):
+    # x <= hi always holds; a start inside the bracket is kept, however small
+    if x <= lo:
+        x = lo + 0.25 * (hi - lo)
+    for _ in range(_MAX_ITER):
         f = residual(x)
-        if abs(f) <= min(tol.abs_tol, 1e-13):
+        if abs(f) <= tol:
             return x
         if f > 0.0:
             hi = x
@@ -259,7 +247,12 @@ def _chi2_quantile(p: float, nu: float, tol: ToleranceConfig) -> float:
         pdf = density(x)
         step_ok = pdf > 0.0
         if step_ok:
-            x_new = x - f / pdf
+            if f > 1e3 * p:
+                # far above a tiny p the CDF is nearly exponential and a plain
+                # Newton step crawls; a step on ln P reaches the root
+                x_new = x - math.log1p(f / p) * (f + p) / pdf
+            else:
+                x_new = x - f / pdf
             step_ok = lo < x_new < hi
         if not step_ok:
             x_new = 0.5 * (lo + hi)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from recrange import (
     DegeneratePosteriorError,
     DomainError,
-    EstimateReport,
     EstimatorId,
     InsufficientRecordsError,
     PosteriorParams,
@@ -274,18 +273,6 @@ class TestAnalyticMoments:
 
 
 class TestReportShape:
-    def test_optional_fields(self):
-        r = EstimateReport(estimator_id=EstimatorId.MLE_URR, value=2.0)
-        assert r.analytic_mean is None and r.analytic_mse is None
-        r2 = EstimateReport(
-            estimator_id=EstimatorId.MLE_URR,
-            value=2.0,
-            analytic_mean=2.0,
-            analytic_variance=1.0,
-            analytic_mse=1.0,
-        )
-        assert r2.analytic_variance == 1.0
-
     def test_estimator_ids_are_stable_strings(self):
         assert EstimatorId.BAYES_QUADRATIC.value == "bayes_quadratic"
         assert str(EstimatorId.MLE_URR) == "mle_urr"

@@ -110,6 +110,24 @@ class TestEqualTails:
         assert math.isclose(iv.lower, float(stats.invgamma.ppf(0.05, 4, scale=p.A)), rel_tol=1e-9)
         assert math.isclose(iv.upper, float(stats.invgamma.ppf(0.95, 4, scale=p.A)), rel_tol=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("s", [1.5, 4.0, 50.0, 1e3])
+    def test_small_alpha_against_scipy(self, s, alpha):
+        p = post(s, 6.013778)
+        iv = equal_tails(p, alpha)
+        ref = stats.invgamma(s, scale=p.A)
+        assert math.isclose(iv.lower, float(ref.ppf(0.5 * alpha)), rel_tol=1e-9)
+        assert math.isclose(iv.upper, float(ref.isf(0.5 * alpha)), rel_tol=1e-9)
+
+    def test_tiny_shape_at_small_alpha(self):
+        # both quantiles lie deep in the tails of a chi-square on 0.1 dof;
+        # the lower endpoint carries the rounding of 1 - alpha/2
+        p = post(0.05, 1.0)
+        iv = equal_tails(p, 1e-8)
+        ref = stats.invgamma(0.05, scale=1.0)
+        assert math.isclose(iv.lower, float(ref.ppf(5e-9)), rel_tol=1e-8)
+        assert math.isclose(iv.upper, float(ref.isf(5e-9)), rel_tol=1e-12)
+
     def test_equal_tail_masses(self):
         p = post(4.0, 9.319232)
         iv = equal_tails(p, 0.20)

@@ -50,10 +50,6 @@ class TestPosteriorParams:
         post = PosteriorParams(s=4.0, A=9.319232)
         assert post.a_plus_n == 5.0
 
-    def test_rejects_inconsistent_exponent(self):
-        with pytest.raises(DomainError):
-            PosteriorParams(s=4.0, A=9.0, a_plus_n=6.0)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             PosteriorParams(s=0.0, A=1.0)

@@ -102,6 +102,29 @@ class TestExtract:
         with pytest.raises(DomainError):
             extract_upper_records([1.0, math.inf, 2.0])
 
+    @pytest.fixture(scope="class")
+    def long_series(self):
+        # a +-0.01 random walk rounded to 2 decimals: it revisits its running
+        # maximum often, so the 2e5 values hold many tied records
+        steps = np.random.default_rng(5).integers(-1, 2, size=200_000)
+        return np.round(np.cumsum(steps) / 100.0, 2)
+
+    def test_long_series_matches_numpy_oracle(self, long_series):
+        x = long_series
+        # x_j is a record iff it is >= every earlier value
+        is_record = np.r_[True, x[1:] >= np.maximum.accumulate(x)[:-1]]
+        want_times = np.flatnonzero(is_record) + 1
+        s = extract_upper_records(x.tolist())
+        assert s.times == tuple(want_times.tolist())
+        assert s.values == tuple(x[is_record].tolist())
+        assert np.count_nonzero(np.diff(s.values) == 0.0) > 100  # ties occur
+
+    def test_long_series_names_the_bad_observation(self, long_series):
+        data = long_series.tolist()
+        data[150_000] = math.nan
+        with pytest.raises(DomainError, match=r"observation 150001 "):
+            extract_upper_records(data)
+
     @given(
         st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),

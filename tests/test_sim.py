@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import os
 import pickle
 from concurrent.futures import Future
 
@@ -247,6 +248,10 @@ class TestPool:
         monkeypatch.setattr(
             sim, "ProcessPoolExecutor", functools.partial(_InlinePool, started)
         )
+        # pinned, so pool sizes do not depend on the host's CPUs
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
         return started
 
     @pytest.mark.parametrize(
@@ -272,6 +277,24 @@ class TestPool:
         assert point.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
         serial = run_interval_sim(SimConfig(**cfg))
         assert coverage.interval_rows == serial.interval_rows
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_pool_is_capped_at_the_usable_cpus(self, started, monkeypatch, affinity):
+        if affinity:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+            )
+        else:
+            # platforms without affinity fall back to the CPU count
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = dict(
+            delta_true=1.0, n_records=(3,), reps=1000, seed=3,
+            prior=PriorParams(a=3.0, b=4.0),
+        )
+        capped = run_point_sim(SimConfig(**cfg, workers=500))
+        assert started == [2]
+        assert capped.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
 
 
 class TestResultRows:

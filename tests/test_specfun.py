@@ -8,7 +8,7 @@ from recrange import specfun
 from recrange import (
     ConvergenceError,
     DomainError,
-    ToleranceConfig,
+    RecRangeError,
     chi2_quantile,
     gen_incomplete_gamma,
     ln_gamma,
@@ -190,27 +190,40 @@ class TestChi2Quantile:
         assert chi2_quantile(0.3, 7.25) is first
 
     def test_memo_stays_within_its_bound(self):
-        for i in range(specfun._QUANTILE_MEMO_SIZE + 50):
+        maxsize = specfun._chi2_quantile.cache_parameters()["maxsize"]
+        for i in range(maxsize + 50):
             chi2_quantile(0.5, 1.0 + 1e-3 * i)
-        assert len(specfun._QUANTILE_MEMO) <= specfun._QUANTILE_MEMO_SIZE
+        assert specfun._chi2_quantile.cache_info().currsize <= maxsize
 
-    def test_memo_keys_on_the_tolerance(self):
-        chi2_quantile(0.5, 8.0)
-        with pytest.raises(ConvergenceError):
-            chi2_quantile(0.5, 8.0, tol=ToleranceConfig(max_iter=1))
+    @pytest.mark.parametrize(
+        "p, nu",
+        [(1e-30, 8.0), (1e-30, 2.0), (5e-10, 0.1), (5e-9, 0.1), (1e-9, 1.0),
+         (1e-12, 3.0), (1e-200, 50.0), (5e-9, 2000.0), (1e-300, 2e4)],
+    )
+    def test_small_tails_against_scipy(self, p, nu):
+        # the residual stop is relative to the smaller tail, and a start
+        # already inside the bracket is kept, so tiny quantiles keep their
+        # significant digits; at (1e-300, 2e4) plain Newton steps from above
+        # would crawl past the loop cap
+        ref = float(stats.chi2.ppf(p, nu))
+        assert math.isclose(chi2_quantile(p, nu), ref, rel_tol=1e-12)
+
+    def test_underflowing_quantile_raises_a_package_error(self):
+        # the 1e-300 quantile of chi-square(1) is about 1e-600
+        with pytest.raises(RecRangeError):
+            chi2_quantile(1e-300, 1.0)
 
 
-class TestToleranceConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ToleranceConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            ToleranceConfig(rel_tol=-1e-9)
-        with pytest.raises(DomainError):
-            ToleranceConfig(max_iter=0)
-
-    def test_tight_budget_raises_convergence(self):
-        # one iteration cannot resolve the continued fraction
-        starved = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-14, max_iter=1)
-        with pytest.raises(ConvergenceError):
-            reg_lower_gamma(4.0, 30.0, tol=starved)
+class TestLoopCap:
+    def test_tight_budget_raises_convergence(self, monkeypatch):
+        # one iteration resolves neither the continued fraction nor the
+        # quantile; the memo is cleared so the starved solve really runs
+        monkeypatch.setattr(specfun, "_MAX_ITER", 1)
+        specfun._chi2_quantile.cache_clear()
+        try:
+            with pytest.raises(ConvergenceError):
+                reg_lower_gamma(4.0, 30.0)
+            with pytest.raises(ConvergenceError):
+                chi2_quantile(0.5, 8.0)
+        finally:
+            specfun._chi2_quantile.cache_clear()
