@@ -11,6 +11,11 @@ losses. With s = a + n - 1 and A = b + r:
 All record-based estimators are linear in the range, so their sampling mean,
 variance and MSE under a fixed true scale follow from the Gamma(n - 1, delta)
 law of the range in closed form.
+
+Each estimator's formula lives in one table on the sufficient statistics
+(last record, range r, record count n, s and A). The formulas take floats or
+ndarrays: the named functions below evaluate them on one checked record set,
+sim on a whole block of repetitions at once.
 """
 
 from __future__ import annotations
@@ -66,6 +71,33 @@ class Moments(NamedTuple):
     mse: float
 
 
+def _posterior_mean_denom(s: float) -> float:
+    # a + n - 2, the posterior mean's denominator; it must be positive
+    denom = s + 1.0 - 2.0
+    if denom <= 0.0:
+        raise DegeneratePosteriorError(
+            f"the posterior mean needs a + n > 2, got {s + 1.0!r}"
+        )
+    return denom
+
+
+Formula = Callable[..., float]
+
+# The record-based estimators as formulas, called by keyword with any of
+# last, r, n, s and A; last, r and A may be ndarrays, s and n are scalars.
+# They check only what depends on s alone, so the named functions check
+# their arguments and sim checks each block's statistics once.
+_FORMULAS: dict[EstimatorId, Formula] = {
+    EstimatorId.MLE_RECORDS: lambda *, last, n, **_: last / n,
+    EstimatorId.MLE_URR: lambda *, r, n, **_: r / (n - 1),
+    EstimatorId.BAYES_QUADRATIC: lambda *, s, A, **_: A / (s + 1.0),
+    EstimatorId.BAYES_SQUARED: lambda *, s, A, **_: A / _posterior_mean_denom(s),
+    EstimatorId.BAYES_ABSOLUTE: lambda *, s, A, **_: (
+        2.0 * A / chi2_quantile(0.5, 2.0 * s)
+    ),
+}
+
+
 def mle_sample(data: Sequence[float]) -> float:
     """Maximum likelihood from the full series: the sample mean."""
     if len(data) == 0:
@@ -87,7 +119,7 @@ def mle_records(x_last_record: float, n: int) -> float:
         )
     if n < 1:
         raise DomainError(f"record count must be at least 1, got {n!r}")
-    return x_last_record / n
+    return _FORMULAS[EstimatorId.MLE_RECORDS](last=x_last_record, n=n)
 
 
 def mle_urr(record_range: float, n: int) -> float:
@@ -96,34 +128,30 @@ def mle_urr(record_range: float, n: int) -> float:
         raise DomainError(f"record range must be positive, got {record_range!r}")
     if n < 2:
         raise InsufficientRecordsError("range-based MLE needs at least 2 records")
-    return record_range / (n - 1)
+    return _FORMULAS[EstimatorId.MLE_URR](r=record_range, n=n)
 
 
 def bayes_quadratic(post: PosteriorParams) -> float:
     """Bayes rule under scaled quadratic loss: the posterior mode A/(a+n)."""
-    return post.A / post.a_plus_n
+    return _FORMULAS[EstimatorId.BAYES_QUADRATIC](s=post.s, A=post.A)
 
 
 def bayes_squared(post: PosteriorParams) -> float:
     """Posterior mean A/(a + n - 2); exists only when s > 1."""
-    denom = post.a_plus_n - 2.0
-    if denom <= 0.0:
-        raise DegeneratePosteriorError(
-            f"the posterior mean needs a + n > 2, got {post.a_plus_n!r}"
-        )
-    return post.A / denom
+    return _FORMULAS[EstimatorId.BAYES_SQUARED](s=post.s, A=post.A)
 
 
 def bayes_absolute(post: PosteriorParams) -> float:
     """Posterior median 2A / q, with q the chi-square median on 2s dof."""
-    return 2.0 * post.A / chi2_quantile(0.5, 2.0 * post.s)
+    return _FORMULAS[EstimatorId.BAYES_ABSOLUTE](s=post.s, A=post.A)
 
 
 Rule = Callable[[RecordSummary, PosteriorParams | None], float]
 
-# Every record-based estimator as a rule on (summary, post). The lambdas
-# look the estimator functions up by name at call time, so replacing a
-# module attribute (as a tracer does) reaches every caller of the table.
+# Every record-based estimator as a checked rule on (summary, post), through
+# its named function. The lambdas look the functions up by name at call
+# time, so replacing a module attribute (as a tracer does) reaches every
+# caller of the table.
 _RULES: dict[EstimatorId, Rule] = {
     EstimatorId.MLE_RECORDS: lambda summary, post: mle_records(
         summary.values[-1], summary.n

@@ -124,10 +124,10 @@ def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
     so the quantile pair and the coverage residual are cached per (s, alpha).
     """
     _check_alpha(alpha)
-    q_lo, q_hi, residual = _equal_tails_pivots(post.s, alpha)
+    lower, upper, residual = _equal_tails_endpoints(post.s, post.A, alpha)
     return CredibleInterval(
-        lower=2.0 * post.A / q_hi,
-        upper=2.0 * post.A / q_lo,
+        lower=lower,
+        upper=upper,
         level=1.0 - alpha,
         kind=IntervalKind.EQUAL_TAILS,
         diagnostics={"coverage_residual": residual},
@@ -143,6 +143,12 @@ def _equal_tails_pivots(s: float, alpha: float) -> tuple[float, float, float]:
     q_hi = chi2_quantile(1.0 - 0.5 * alpha, nu)
     cover = reg_lower_gamma(s, 0.5 * q_hi) - reg_lower_gamma(s, 0.5 * q_lo)
     return q_lo, q_hi, cover - (1.0 - alpha)
+
+
+def _equal_tails_endpoints(s: float, A, alpha: float):
+    # (2A/q_hi, 2A/q_lo, coverage residual); A may be an ndarray of scales
+    q_lo, q_hi, residual = _equal_tails_pivots(s, alpha)
+    return 2.0 * A / q_hi, 2.0 * A / q_lo, residual
 
 
 def _log_ratio_guess(s: float, alpha: float) -> float:
@@ -322,6 +328,12 @@ def hpd_hpm_calibrated(post: PosteriorParams, alpha: float) -> CredibleInterval:
     )
 
 
+# (s, A, alpha) and exact-HPD length of the last exact solve in interval(),
+# so hpd_hpm right after hpd_exact at the same posterior and level (the
+# order of --kind all) takes that length instead of solving again
+_last_exact: tuple = ((), 0.0)
+
+
 def interval(
     kind: IntervalKind, post: PosteriorParams, alpha: float
 ) -> CredibleInterval:
@@ -329,15 +341,23 @@ def interval(
 
     hpd_hpm is the closed form at g = the exact-HPD length at the same
     alpha, which exists at every level; its level field reports the
-    coverage actually reached. hpd_hpm_calibrated is not a kind.
+    coverage actually reached. Asked right after hpd_exact at the same
+    posterior and alpha, it reuses that solve. hpd_hpm_calibrated is not a
+    kind.
     """
+    global _last_exact
     kind = IntervalKind(kind)
     if kind is IntervalKind.EQUAL_TAILS:
         return equal_tails(post, alpha)
-    exact = hpd_exact(post, alpha)
-    if kind is IntervalKind.HPD_EXACT:
-        return exact
-    return hpd_hpm_closed_form(post, exact.length)
+    key = (post.s, post.A, alpha)
+    last_key, length = _last_exact
+    if kind is IntervalKind.HPD_EXACT or last_key != key:
+        exact = hpd_exact(post, alpha)
+        length = exact.length
+        _last_exact = (key, length)
+        if kind is IntervalKind.HPD_EXACT:
+            return exact
+    return hpd_hpm_closed_form(post, length)
 
 
 def length_of_alpha(

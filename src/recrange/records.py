@@ -123,6 +123,12 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _direct_values(delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    # the direct sampler's draw, unchecked: n record values as the running
+    # sum of n Exp(delta) gaps; sim's blocks take it once per repetition
+    return rng.exponential(scale=delta, size=n).cumsum()
+
+
 def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     """Draw n record values directly as a cumulative sum of Exp(delta) gaps.
 
@@ -134,8 +140,7 @@ def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     if n < 2:
         raise DomainError(f"record sampling needs n >= 2, got {n!r}")
     rng = _as_generator(seed)
-    gaps = rng.exponential(scale=delta, size=n)
-    values = tuple(float(v) for v in np.cumsum(gaps))
+    values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
         values=values, times=tuple(range(1, n + 1)), times_synthetic=True
     )

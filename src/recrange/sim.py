@@ -2,9 +2,13 @@
 
 Every repetition gets its own generator, derived from the master seed by a
 counter-keyed split (numpy SeedSequence spawn keys), so results are
-bit-identical no matter how repetitions are scheduled. Parallel runs carve
-the repetition index range into contiguous blocks, compute per-repetition
-values in workers, and reduce strictly in index order.
+bit-identical no matter how repetitions are scheduled. Runs carve the
+repetition index range into contiguous blocks, one per worker process.
+A block draws each repetition from its own stream and keeps only the
+sufficient statistics (scale, last record, range); every record rule and
+equal-tails interval depends on nothing else, so each is then evaluated
+once per block on those arrays. The HPD kinds are still solved one
+repetition at a time. Blocks are reduced strictly in index order.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientRecordsError
-from .estimators import EstimatorId, analytic_moments, estimator_rule
-from .intervals import IntervalKind, interval
-from .model import PriorParams, posterior_from
-from .records import extract_upper_records, sample_records_direct, truncate
+from .estimators import (
+    _FORMULAS,
+    EstimatorId,
+    analytic_moments,
+    estimator_rule,
+    mle_records,
+    mle_urr,
+)
+from .intervals import IntervalKind, _equal_tails_endpoints, interval
+from .model import PosteriorParams, PriorParams, posterior_from
+from .records import _direct_values, extract_upper_records, truncate
 
 __all__ = [
     "SimConfig",
@@ -164,6 +175,56 @@ def _chunks(reps: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _sample_block(
+    n: int,
+    seed: int,
+    lo: int,
+    hi: int,
+    delta: float | None,
+    prior: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale, last record and range of repetitions lo..hi-1, as arrays.
+
+    Repetition rep draws from its own derive_rep_seed(seed, rep, n) stream:
+    its scale from the inverted-gamma prior (a, b) when delta is None, then
+    its n record values, exactly as sample_records_direct draws them.
+    """
+    k = hi - lo
+    deltas, firsts, lasts = np.empty(k), np.empty(k), np.empty(k)
+    if prior is not None:
+        a, scale = prior[0], 1.0 / prior[1]
+    for i, rep in enumerate(range(lo, hi)):
+        rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
+        if prior is not None:
+            delta = 1.0 / rng.gamma(shape=a, scale=scale)
+        values = _direct_values(delta, n, rng)
+        deltas[i] = delta
+        firsts[i] = values[0]
+        lasts[i] = values[-1]
+    ranges = lasts - firsts
+    _check_block(n, deltas, lasts, ranges)
+    return deltas, lasts, ranges
+
+
+def _check_block(n: int, deltas, lasts, ranges) -> None:
+    # The per-repetition domain checks as one array check: every scale, last
+    # record and range finite and positive (nan fails both comparisons). The
+    # first bad repetition raises what the sampler or the rules raise for it.
+    ok = (
+        (0.0 < deltas) & (deltas < math.inf)
+        & (0.0 < lasts) & (lasts < math.inf)
+        & (0.0 < ranges) & (ranges < math.inf)
+    )
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    if not 0.0 < deltas[i] < math.inf:
+        bad = float(deltas[i])
+        raise DomainError(f"scale delta must be positive, got {bad!r}")
+    mle_records(float(lasts[i]), n)
+    mle_urr(float(ranges[i]), n)
+
+
 def _point_block(
     n: int,
     seed: int,
@@ -175,14 +236,11 @@ def _point_block(
     b: float,
 ) -> np.ndarray:
     """Estimates for repetitions lo..hi-1, one row per repetition."""
-    prior = PriorParams(a=a, b=b)
-    rules = [estimator_rule(est) for est in estimators]
-    out = np.empty((hi - lo, len(rules)))
-    for i, rep in enumerate(range(lo, hi)):
-        summary = sample_records_direct(delta, n, derive_rep_seed(seed, rep, n))
-        post = posterior_from(prior, summary)
-        for j, rule in enumerate(rules):
-            out[i, j] = rule(summary, post)
+    _, last, r = _sample_block(n, seed, lo, hi, delta)
+    s, A = a + n - 1.0, b + r  # the posterior of every repetition
+    out = np.empty((hi - lo, len(estimators)))
+    for j, est in enumerate(estimators):
+        out[:, j] = _FORMULAS[est](last=last, r=r, n=n, s=s, A=A)
     return out
 
 
@@ -196,16 +254,28 @@ def _interval_block(
     b: float,
 ) -> np.ndarray:
     """(covered, length) pairs for repetitions lo..hi-1."""
-    prior = PriorParams(a=a, b=b)
+    delta, _, r = _sample_block(n, seed, lo, hi, None, (a, b))
+    s, A = a + n - 1.0, b + r
     out = np.empty((hi - lo, len(cells), 2))
-    for i, rep in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
-        delta = 1.0 / rng.gamma(shape=a, scale=1.0 / b)
-        summary = sample_records_direct(delta, n, rng)
-        post = posterior_from(prior, summary)
-        for j, (kind, alpha) in enumerate(cells):
+    solved = []
+    for j, (kind, alpha) in enumerate(cells):
+        if kind is IntervalKind.EQUAL_TAILS:
+            lower, upper, _ = _equal_tails_endpoints(s, A, alpha)
+            out[:, j, 0] = (lower <= delta) & (delta <= upper)
+            out[:, j, 1] = upper - lower
+        else:
+            solved.append(j)
+    if not solved:
+        return out
+    # the HPD kinds, one repetition at a time; hpd_hpm right after hpd_exact
+    # at the same alpha, so interval() solves each exact HPD once
+    solved.sort(key=lambda j: (cells[j][1], cells[j][0] is IntervalKind.HPD_HPM))
+    for i, (A_i, delta_i) in enumerate(zip(A.tolist(), delta.tolist())):
+        post = PosteriorParams(s=s, A=A_i)
+        for j in solved:
+            kind, alpha = cells[j]
             iv = interval(kind, post, alpha)
-            out[i, j, 0] = 1.0 if iv.lower <= delta <= iv.upper else 0.0
+            out[i, j, 0] = 1.0 if iv.lower <= delta_i <= iv.upper else 0.0
             out[i, j, 1] = iv.length
     return out
 
@@ -221,15 +291,17 @@ def _usable_cpus() -> int:
 def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
     """block(n, seed, lo, hi, *args) over every record count and chunk.
 
-    Every task of the study goes to one pool, sized by the task count and
-    capped at the usable CPUs, since more processes only compete for them.
+    Repetitions are chunked by the pool size, workers capped at the usable
+    CPUs, since more processes only compete for them. Every task of the
+    study goes to one pool of at most that many processes.
     The result holds one array per record count, rows in repetition order.
     """
-    chunks = _chunks(config.reps, config.workers)
+    workers = min(config.workers, _usable_cpus())
+    chunks = _chunks(config.reps, workers)
     tasks = [
         (n, config.seed, lo, hi, *args) for n in config.n_records for lo, hi in chunks
     ]
-    workers = min(config.workers, len(tasks), _usable_cpus())
+    workers = min(workers, len(tasks))
     if workers <= 1:
         blocks = [block(*task) for task in tasks]
     else:

@@ -173,6 +173,29 @@ class TestInterval:
         assert math.isclose(hpm["length"], hpd["length"], rel_tol=1e-9)
         assert hpm["coverage_check"] < 0.5
 
+    def test_all_kinds_solve_each_exact_hpd_once(
+        self, invoke, sample_b_file, monkeypatch
+    ):
+        from recrange import intervals
+
+        calls = []
+
+        def counted(post, alpha):
+            calls.append((post, alpha))
+            return solve(post, alpha)
+
+        solve = intervals.hpd_exact
+        monkeypatch.setattr(intervals, "hpd_exact", counted)
+        code, out, _ = invoke(
+            "interval", str(sample_b_file), "--a", "3", "--b", "4",
+            "--alpha", "0.05,0.1", "--kind", "all", "--format", "json",
+        )
+        assert code == 0
+        hpm_rows = [r for r in rows_of(out) if r["kind"] == "hpd_hpm"]
+        # one solve per (record count, alpha), shared by hpd_exact and hpd_hpm
+        assert len(calls) == len(hpm_rows) == 10
+        assert len(set(calls)) == 10
+
     def test_lengths_grow_with_confidence(self, invoke, sample_b_file):
         code, out, _ = invoke(
             "interval", str(sample_b_file), "--a", "3", "--b", "4",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recrange import estimators
 from recrange import (
     DegeneratePosteriorError,
     DomainError,
@@ -214,6 +215,26 @@ class TestEstimatorRule:
         one = RecordSummary(values=(3.0,), times=(1,))
         prior = PriorParams(a=3.0, b=5.0)
         assert point_estimate(EstimatorId.MLE_RECORDS, one, prior) == 3.0
+
+    @pytest.mark.parametrize(
+        "prior", [PriorParams(a=3.0, b=5.0), PriorParams(a=0.5, b=0.0)]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_array_formulas_equal_the_scalar_rules(self, n, prior):
+        # sim evaluates the table once per block on arrays of repetitions;
+        # every element must be the scalar rule's float, bit for bit
+        summaries = [
+            sample_records_direct(1.7, n, np.random.default_rng([n, rep]))
+            for rep in range(25)
+        ]
+        posts = [posterior_from(prior, sm) for sm in summaries]
+        last = np.array([sm.values[-1] for sm in summaries])
+        r = np.array([sm.range for sm in summaries])
+        s = prior.a + n - 1.0
+        for est in estimators._FORMULAS:
+            got = estimators._FORMULAS[est](last=last, r=r, n=n, s=s, A=prior.b + r)
+            want = [estimator_rule(est)(sm, p) for sm, p in zip(summaries, posts)]
+            assert type(got) is np.ndarray and got.tolist() == want, est
 
 
 class TestAnalyticMoments:

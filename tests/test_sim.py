@@ -3,6 +3,7 @@ import functools
 import math
 import os
 import pickle
+import types
 from concurrent.futures import Future
 
 import numpy as np
@@ -22,7 +23,11 @@ from recrange import (
     TableRow,
     datasets,
     derive_rep_seed,
+    estimator_rule,
+    interval,
+    intervals,
     mle_urr,
+    posterior_from,
     reproduce_table1,
     run_interval_sim,
     run_point_sim,
@@ -224,10 +229,12 @@ class TestIntervalSim:
 
 
 class _InlinePool:
-    """ProcessPoolExecutor stand-in: records max_workers, runs tasks at submit."""
+    """ProcessPoolExecutor stand-in: logs max_workers and every task, runs
+    tasks at submit."""
 
-    def __init__(self, started, max_workers):
-        started.append(max_workers)
+    def __init__(self, log, max_workers):
+        log.started.append(max_workers)
+        self.log = log
 
     def __enter__(self):
         return self
@@ -236,23 +243,30 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
+        self.log.submitted.append(args)
         future = Future()
         future.set_result(fn(*args))
         return future
 
 
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Inline pools on a host pinned to 8 usable CPUs; returns their log."""
+    log = types.SimpleNamespace(started=[], submitted=[])
+    monkeypatch.setattr(
+        sim, "ProcessPoolExecutor", functools.partial(_InlinePool, log)
+    )
+    # pinned, so pool sizes do not depend on the host's CPUs
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+    )
+    return log
+
+
 class TestPool:
     @pytest.fixture
-    def started(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(
-            sim, "ProcessPoolExecutor", functools.partial(_InlinePool, started)
-        )
-        # pinned, so pool sizes do not depend on the host's CPUs
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
-        )
-        return started
+    def started(self, pool_log):
+        return pool_log.started
 
     @pytest.mark.parametrize(
         "n_records, reps, workers, pools",
@@ -296,6 +310,136 @@ class TestPool:
         assert started == [2]
         assert capped.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
 
+    def test_repetitions_are_chunked_by_the_capped_pool(self, pool_log):
+        # 500 requested workers on 8 usable CPUs: 8 chunks per record count,
+        # not 500 tiny ones
+        cfg = dict(
+            delta_true=1.0, n_records=(3, 6), reps=1000, seed=3,
+            prior=PriorParams(a=3.0, b=4.0),
+        )
+        capped = run_point_sim(SimConfig(**cfg, workers=500))
+        assert pool_log.started == [8]
+        assert len(pool_log.submitted) == 16
+        assert capped.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
+
+
+def _reference_point_rows(cfg):
+    """run_point_sim as a loop over repetitions of public functions."""
+    rows = []
+    for n in cfg.n_records:
+        estimates = np.empty((cfg.reps, len(cfg.estimators)))
+        for rep in range(cfg.reps):
+            summary = sample_records_direct(
+                cfg.delta_true, n, derive_rep_seed(cfg.seed, rep, n)
+            )
+            post = posterior_from(cfg.prior, summary)
+            for j, est in enumerate(cfg.estimators):
+                estimates[rep, j] = estimator_rule(est)(summary, post)
+        errors = estimates - cfg.delta_true
+        for j, est in enumerate(cfg.estimators):
+            mean, mse = estimates[:, j].mean(), (errors[:, j] ** 2).mean()
+            rows.append((est, n, float(mean), float(mse)))
+    return rows
+
+
+def _reference_interval_rows(cfg):
+    """run_interval_sim as a loop over repetitions of public functions."""
+    cells = [(k, alpha) for k in cfg.interval_kinds for alpha in cfg.alpha_list]
+    rows = []
+    for n in cfg.n_records:
+        stats = np.empty((cfg.reps, len(cells), 2))
+        for rep in range(cfg.reps):
+            rng = np.random.default_rng(derive_rep_seed(cfg.seed, rep, n))
+            delta = 1.0 / rng.gamma(shape=cfg.prior.a, scale=1.0 / cfg.prior.b)
+            post = posterior_from(cfg.prior, sample_records_direct(delta, n, rng))
+            for j, (kind, alpha) in enumerate(cells):
+                iv = interval(kind, post, alpha)
+                stats[rep, j] = (iv.lower <= delta <= iv.upper, iv.length)
+        for j, (kind, alpha) in enumerate(cells):
+            coverage, length = stats[:, j, 0].mean(), stats[:, j, 1].mean()
+            rows.append((kind, n, alpha, float(coverage), float(length)))
+    return rows
+
+
+class TestBlockPath:
+    """Per-block rule evaluation against the per-repetition reference loop."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reps", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 17, 2024])
+    def test_point_study_matches_the_reference_loop(
+        self, pool_log, seed, reps, workers
+    ):
+        cfg = SimConfig(
+            delta_true=1.5, n_records=(2, 3, 8), reps=reps, seed=seed, prior=PRIOR,
+            estimators=tuple(e for e in EstimatorId if e is not EstimatorId.MLE_SAMPLE),
+            workers=workers,
+        )
+        got = [
+            (r.estimator_id, r.n, r.average_estimate, r.empirical_mse)
+            for r in run_point_sim(cfg).point_rows
+        ]
+        assert got == _reference_point_rows(cfg)
+        assert len(pool_log.started) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reps", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 17, 2024])
+    def test_interval_study_matches_the_reference_loop(
+        self, pool_log, seed, reps, workers
+    ):
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(2, 3, 8), reps=reps, seed=seed,
+            prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1, 0.5),
+            interval_kinds=tuple(IntervalKind), workers=workers,
+        )
+        got = [
+            (r.kind, r.n, r.alpha, r.empirical_coverage, r.mean_length)
+            for r in run_interval_sim(cfg).interval_rows
+        ]
+        assert got == _reference_interval_rows(cfg)
+        assert len(pool_log.started) == (workers > 1)
+
+    def test_exact_hpd_is_solved_once_for_both_hpd_kinds(self, monkeypatch):
+        calls = []
+
+        def counted(post, alpha):
+            calls.append(alpha)
+            return solve(post, alpha)
+
+        solve = intervals.hpd_exact
+        monkeypatch.setattr(intervals, "hpd_exact", counted)
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(3,), reps=5, seed=4,
+            prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1, 0.5),
+            # hpd_hpm first: the block still solves hpd_exact before it
+            interval_kinds=(IntervalKind.HPD_HPM, IntervalKind.HPD_EXACT),
+        )
+        run_interval_sim(cfg)
+        assert len(calls) == 5 * 2
+
+    def test_zero_range_raises_the_range_rule_error(self, monkeypatch):
+        monkeypatch.setattr(sim, "_direct_values", lambda delta, n, rng: np.ones(n))
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(3,), reps=4, seed=0, prior=PRIOR,
+            estimators=(EstimatorId.BAYES_QUADRATIC,),
+        )
+        with pytest.raises(DomainError) as want:
+            mle_urr(0.0, 3)
+        with pytest.raises(DomainError) as got:
+            run_point_sim(cfg)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError) as got:
+            run_interval_sim(dataclasses.replace(cfg, alpha_list=(0.1,)))
+        assert str(got.value) == str(want.value)
+
+
+    def test_bad_scale_raises_the_sampler_error(self):
+        with pytest.raises(DomainError) as want:
+            sample_records_direct(math.inf, 3)
+        with pytest.raises(DomainError) as got:
+            sim._check_block(3, np.array([1.0, math.inf]), np.ones(2), np.ones(2))
+        assert str(got.value) == str(want.value)
 
 class TestResultRows:
     @pytest.fixture(scope="class")
