@@ -1,21 +1,21 @@
 """Point estimators of the exponential scale and their sampling moments.
 
-Classical estimators use the raw data, the last record, or the record range;
-the Bayes estimators summarize the inverted-gamma posterior under three
-losses. With s = a + n - 1 and A = b + r:
+mle_sample averages the raw series. Every other estimator divides one
+sufficient statistic of the n records by a divisor; with s = a + n - 1:
 
-    quadratic loss (scaled by delta^-2)  ->  A / (a + n)
-    squared error                        ->  A / (a + n - 2)
-    absolute error (posterior median)    ->  2 A / chi2_quantile(0.5, 2 s)
+    mle_records      last record x_T(n) ~ Gamma(n, delta)  over  n
+    mle_urr          range r ~ Gamma(n - 1, delta)         over  n - 1
+    bayes_quadratic  A = b + r                             over  a + n
+    bayes_squared    A                                     over  a + n - 2
+    bayes_absolute   A                                     over  chi2_quantile(.5, 2s)/2
 
-All record-based estimators are linear in the range, so their sampling mean,
-variance and MSE under a fixed true scale follow from the Gamma(n - 1, delta)
-law of the range in closed form.
-
-Each estimator's formula lives in one table on the sufficient statistics
-(last record, range r, record count n, s and A). The formulas take floats or
-ndarrays: the named functions below evaluate them on one checked record set,
-sim on a whole block of repetitions at once.
+The Bayes rules under scaled quadratic, squared and absolute error loss are
+the posterior mode, mean and median. These pairs are one private table.
+The named functions, estimator_rule and point_estimate evaluate it on one
+checked record set, sim on whole blocks of repetitions as arrays, and
+analytic_moments reads the sampling moments off it: a statistic of gamma
+shape k at scale delta, plus b for A, over a divisor d has mean
+(k delta + b) / d and variance k delta^2 / d^2.
 """
 
 from __future__ import annotations
@@ -71,31 +71,61 @@ class Moments(NamedTuple):
     mse: float
 
 
-def _posterior_mean_denom(s: float) -> float:
-    # a + n - 2, the posterior mean's denominator; it must be positive
-    denom = s + 1.0 - 2.0
-    if denom <= 0.0:
+def _posterior_mean_divisor(n: int | None, s: float) -> float:
+    if s <= 1.0:  # the divisor a + n - 2 = s - 1 must be positive
         raise DegeneratePosteriorError(
             f"the posterior mean needs a + n > 2, got {s + 1.0!r}"
         )
-    return denom
+    return s - 1.0
 
 
-Formula = Callable[..., float]
-
-# The record-based estimators as formulas, called by keyword with any of
-# last, r, n, s and A; last, r and A may be ndarrays, s and n are scalars.
-# They check only what depends on s alone, so the named functions check
-# their arguments and sim checks each block's statistics once.
-_FORMULAS: dict[EstimatorId, Formula] = {
-    EstimatorId.MLE_RECORDS: lambda *, last, n, **_: last / n,
-    EstimatorId.MLE_URR: lambda *, r, n, **_: r / (n - 1),
-    EstimatorId.BAYES_QUADRATIC: lambda *, s, A, **_: A / (s + 1.0),
-    EstimatorId.BAYES_SQUARED: lambda *, s, A, **_: A / _posterior_mean_denom(s),
-    EstimatorId.BAYES_ABSOLUTE: lambda *, s, A, **_: (
-        2.0 * A / chi2_quantile(0.5, 2.0 * s)
-    ),
+# Each record-based estimator as (statistic "last", "r" or "A", divisor(n, s)).
+# The likelihood rules' divisors read the record count n, the Bayes rules'
+# the posterior shape s; the argument a divisor does not read may be None.
+_TABLE: dict[EstimatorId, tuple[str, Callable[..., float]]] = {
+    EstimatorId.MLE_RECORDS: ("last", lambda n, s: n),
+    EstimatorId.MLE_URR: ("r", lambda n, s: n - 1),
+    EstimatorId.BAYES_QUADRATIC: ("A", lambda n, s: s + 1.0),
+    EstimatorId.BAYES_SQUARED: ("A", _posterior_mean_divisor),
+    EstimatorId.BAYES_ABSOLUTE: ("A", lambda n, s: 0.5 * chi2_quantile(0.5, 2.0 * s)),
 }
+
+
+def _check_last(last: float, n: int) -> None:
+    if not (math.isfinite(last) and last > 0.0):
+        raise DomainError(f"the last record value must be positive, got {last!r}")
+    if n < 1:
+        raise DomainError(f"record count must be at least 1, got {n!r}")
+
+
+def _check_range(r: float, n: int) -> None:
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"record range must be positive, got {r!r}")
+    if n < 2:
+        raise InsufficientRecordsError("range-based MLE needs at least 2 records")
+
+
+# Per statistic: the one check of its scalar value with n records (a
+# PosteriorParams checks its own A), and how a rule reads it off (summary, post)
+_STATISTICS = {
+    "last": (_check_last, lambda summary, post: summary.values[-1]),
+    "r": (_check_range, lambda summary, post: summary.range),
+    "A": (lambda A, n: None, lambda summary, post: post.A),
+}
+
+
+def _estimate(estimator: EstimatorId, n, s, **statistics):
+    # the estimator's statistic, picked by name, over its divisor; unchecked,
+    # for floats or for the ndarrays of a sim block
+    statistic, divisor = _TABLE[estimator]
+    return statistics[statistic] / divisor(n, s)
+
+
+def _checked(estimator: EstimatorId, value: float, n, post) -> float:
+    statistic, divisor = _TABLE[estimator]
+    check, _ = _STATISTICS[statistic]
+    check(value, n)
+    return value / divisor(n, None if post is None else post.s)
 
 
 def mle_sample(data: Sequence[float]) -> float:
@@ -113,55 +143,30 @@ def mle_sample(data: Sequence[float]) -> float:
 
 def mle_records(x_last_record: float, n: int) -> float:
     """Maximum likelihood from the record values alone: x_T(n) / n."""
-    if not (math.isfinite(x_last_record) and x_last_record > 0.0):
-        raise DomainError(
-            f"the last record value must be positive, got {x_last_record!r}"
-        )
-    if n < 1:
-        raise DomainError(f"record count must be at least 1, got {n!r}")
-    return _FORMULAS[EstimatorId.MLE_RECORDS](last=x_last_record, n=n)
+    return _checked(EstimatorId.MLE_RECORDS, x_last_record, n, None)
 
 
 def mle_urr(record_range: float, n: int) -> float:
     """Maximum likelihood from the record range alone: r / (n - 1)."""
-    if not (math.isfinite(record_range) and record_range > 0.0):
-        raise DomainError(f"record range must be positive, got {record_range!r}")
-    if n < 2:
-        raise InsufficientRecordsError("range-based MLE needs at least 2 records")
-    return _FORMULAS[EstimatorId.MLE_URR](r=record_range, n=n)
+    return _checked(EstimatorId.MLE_URR, record_range, n, None)
 
 
 def bayes_quadratic(post: PosteriorParams) -> float:
     """Bayes rule under scaled quadratic loss: the posterior mode A/(a+n)."""
-    return _FORMULAS[EstimatorId.BAYES_QUADRATIC](s=post.s, A=post.A)
+    return _checked(EstimatorId.BAYES_QUADRATIC, post.A, None, post)
 
 
 def bayes_squared(post: PosteriorParams) -> float:
     """Posterior mean A/(a + n - 2); exists only when s > 1."""
-    return _FORMULAS[EstimatorId.BAYES_SQUARED](s=post.s, A=post.A)
+    return _checked(EstimatorId.BAYES_SQUARED, post.A, None, post)
 
 
 def bayes_absolute(post: PosteriorParams) -> float:
     """Posterior median 2A / q, with q the chi-square median on 2s dof."""
-    return _FORMULAS[EstimatorId.BAYES_ABSOLUTE](s=post.s, A=post.A)
+    return _checked(EstimatorId.BAYES_ABSOLUTE, post.A, None, post)
 
 
 Rule = Callable[[RecordSummary, PosteriorParams | None], float]
-
-# Every record-based estimator as a checked rule on (summary, post), through
-# its named function. The lambdas look the functions up by name at call
-# time, so replacing a module attribute (as a tracer does) reaches every
-# caller of the table.
-_RULES: dict[EstimatorId, Rule] = {
-    EstimatorId.MLE_RECORDS: lambda summary, post: mle_records(
-        summary.values[-1], summary.n
-    ),
-    EstimatorId.MLE_URR: lambda summary, post: mle_urr(summary.range, summary.n),
-    EstimatorId.BAYES_QUADRATIC: lambda summary, post: bayes_quadratic(post),
-    EstimatorId.BAYES_SQUARED: lambda summary, post: bayes_squared(post),
-    EstimatorId.BAYES_ABSOLUTE: lambda summary, post: bayes_absolute(post),
-}
-_SUMMARY_ONLY = (EstimatorId.MLE_RECORDS, EstimatorId.MLE_URR)
 
 
 def estimator_rule(estimator: EstimatorId) -> Rule:
@@ -176,16 +181,18 @@ def estimator_rule(estimator: EstimatorId) -> Rule:
         raise UnsupportedEstimatorError(
             "mle_sample needs the full series, not a record summary"
         )
-    return _RULES[estimator]
+    _, read = _STATISTICS[_TABLE[estimator][0]]
+    return lambda summary, post: _checked(
+        estimator, read(summary, post), summary.n, post
+    )
 
 
 def point_estimate(
     estimator: EstimatorId, summary: RecordSummary, prior: PriorParams | None = None
 ) -> float:
     """Evaluate a record-based estimator by id; Bayes rules need the prior."""
-    estimator = EstimatorId(estimator)
     rule = estimator_rule(estimator)
-    if estimator in _SUMMARY_ONLY:
+    if _TABLE[EstimatorId(estimator)][0] != "A":
         return rule(summary, None)
     if prior is None:
         raise DomainError(f"{estimator} needs prior parameters")
@@ -197,41 +204,27 @@ def analytic_moments(
 ) -> Moments:
     """Closed-form sampling mean, variance and MSE at a fixed true scale.
 
-    Uses E r = (n-1) delta and Var r = (n-1) delta^2 for the range and the
-    n-fold gap decomposition for the last record. No closed form exists for
-    mle_sample (the record count over a fixed-length series is random), so
-    it is rejected.
+    They follow from the estimator's table entry (see the module docstring).
+    mle_sample has none, as its record count is random, so it is rejected.
     """
     estimator = EstimatorId(estimator)
     if not (math.isfinite(delta_ref) and delta_ref > 0.0):
         raise DomainError(f"reference scale must be positive, got {delta_ref!r}")
     if n < 2:
         raise DomainError(f"moments need n >= 2 records, got {n!r}")
-
     if estimator is EstimatorId.MLE_SAMPLE:
         raise UnsupportedEstimatorError(
             "mle_sample has no closed-form record-based moments"
         )
-    if estimator is EstimatorId.MLE_RECORDS:
-        mean, var = delta_ref, delta_ref * delta_ref / n
-    elif estimator is EstimatorId.MLE_URR:
-        mean, var = delta_ref, delta_ref * delta_ref / (n - 1)
-    else:
+    statistic, divisor = _TABLE[estimator]
+    k = n if statistic == "last" else n - 1  # the statistic's gamma shape
+    offset, s = 0.0, None
+    if statistic == "A":
         if prior is None:
             raise DomainError(f"{estimator} needs prior parameters")
-        a, b = prior.a, prior.b
-        if estimator is EstimatorId.BAYES_QUADRATIC:
-            denom = a + n
-        elif estimator is EstimatorId.BAYES_SQUARED:
-            denom = a + n - 2.0
-            if denom <= 0.0:
-                raise DegeneratePosteriorError(
-                    f"the posterior mean needs a + n > 2, got {a + n!r}"
-                )
-        else:
-            denom = 0.5 * chi2_quantile(0.5, 2.0 * (a + n - 1.0))
-        mean = ((n - 1) * delta_ref + b) / denom
-        var = (n - 1) * delta_ref * delta_ref / (denom * denom)
-
+        offset, s = prior.b, prior.a + n - 1.0
+    d = divisor(n, s)
+    mean = (k * delta_ref + offset) / d
+    var = k * delta_ref * delta_ref / (d * d)
     bias = mean - delta_ref
     return Moments(mean=mean, variance=var, mse=var + bias * bias)

@@ -5,10 +5,11 @@ counter-keyed split (numpy SeedSequence spawn keys), so results are
 bit-identical no matter how repetitions are scheduled. Runs carve the
 repetition index range into contiguous blocks, one per worker process.
 A block draws each repetition from its own stream and keeps only the
-sufficient statistics (scale, last record, range); every record rule and
-equal-tails interval depends on nothing else, so each is then evaluated
-once per block on those arrays. The HPD kinds are still solved one
-repetition at a time. Blocks are reduced strictly in index order.
+sufficient statistics (scale, last record, range). Every equal-tails
+interval and every record rule, one (statistic, divisor) entry of the
+estimators' table, depends on nothing else, so each is then evaluated once
+per block on those arrays. The HPD kinds are still solved one repetition at
+a time. Blocks are reduced strictly in index order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, InsufficientRecordsError
 from .estimators import (
-    _FORMULAS,
     EstimatorId,
+    _estimate,
     analytic_moments,
     estimator_rule,
     mle_records,
@@ -107,6 +108,8 @@ class SimConfig:
         if self.reps < 1:
             raise DomainError(f"reps must be positive, got {self.reps!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
         object.__setattr__(
             self, "estimators", tuple(EstimatorId(e) for e in self.estimators)
         )
@@ -196,12 +199,14 @@ def _sample_block(
     for i, rep in enumerate(range(lo, hi)):
         rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
         if prior is not None:
-            delta = 1.0 / rng.gamma(shape=a, scale=scale)
+            g = rng.gamma(shape=a, scale=scale)  # may underflow to 0
+            delta = 1.0 / g if g > 0.0 else math.inf  # _check_block rejects
         values = _direct_values(delta, n, rng)
         deltas[i] = delta
         firsts[i] = values[0]
         lasts[i] = values[-1]
-    ranges = lasts - firsts
+    with np.errstate(invalid="ignore"):  # inf - inf for an infinite scale
+        ranges = lasts - firsts
     _check_block(n, deltas, lasts, ranges)
     return deltas, lasts, ranges
 
@@ -240,7 +245,7 @@ def _point_block(
     s, A = a + n - 1.0, b + r  # the posterior of every repetition
     out = np.empty((hi - lo, len(estimators)))
     for j, est in enumerate(estimators):
-        out[:, j] = _FORMULAS[est](last=last, r=r, n=n, s=s, A=A)
+        out[:, j] = _estimate(est, n, s, last=last, r=r, A=A)
     return out
 
 

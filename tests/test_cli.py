@@ -297,6 +297,27 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_negative_seed_exits_2(self, invoke, monkeypatch, via_env):
+        args = ["simulate", "--a", "3", "--b", "5", "--n", "3", "--reps", "10"]
+        if via_env:
+            monkeypatch.setenv("RRB_SEED", "-1")
+        else:
+            args += ["--seed", "-1"]
+        code, out, err = invoke(*args)
+        assert code == 2
+        assert err.splitlines() == ["error: seed must be nonnegative, got -1"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_prior_draw_underflow_exits_2(self, invoke):
+        # a = 0.001 makes the prior's gamma draw underflow to 0: an infinite scale
+        code, out, err = invoke(
+            "simulate", "--mode", "interval", "--a", "0.001", "--b", "1",
+            "--n", "3", "--reps", "50", "--alpha", "0.1",
+        )
+        assert code == 2
+        assert err.splitlines() == ["error: scale delta must be positive, got inf"]
+
     def test_zero_reps_exits_2(self, invoke, tmp_path):
         code, _, _ = invoke(
             "simulate", "--a", "8", "--b", "2", "--n", "4", "--reps", "0",

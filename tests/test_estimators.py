@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from recrange import estimators
@@ -221,8 +222,9 @@ class TestEstimatorRule:
     )
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_array_formulas_equal_the_scalar_rules(self, n, prior):
-        # sim evaluates the table once per block on arrays of repetitions;
-        # every element must be the scalar rule's float, bit for bit
+        # sim evaluates each (statistic, divisor) table entry once per block
+        # on arrays of repetitions; every element must be the scalar rule's
+        # float, bit for bit
         summaries = [
             sample_records_direct(1.7, n, np.random.default_rng([n, rep]))
             for rep in range(25)
@@ -231,13 +233,77 @@ class TestEstimatorRule:
         last = np.array([sm.values[-1] for sm in summaries])
         r = np.array([sm.range for sm in summaries])
         s = prior.a + n - 1.0
-        for est in estimators._FORMULAS:
-            got = estimators._FORMULAS[est](last=last, r=r, n=n, s=s, A=prior.b + r)
+        for est in estimators._TABLE:
+            got = estimators._estimate(est, n, s, last=last, r=r, A=prior.b + r)
             want = [estimator_rule(est)(sm, p) for sm, p in zip(summaries, posts)]
             assert type(got) is np.ndarray and got.tolist() == want, est
 
 
+RECORD_ESTIMATORS = tuple(e for e in EstimatorId if e is not EstimatorId.MLE_SAMPLE)
+
+
+def textbook(est: EstimatorId, last: float, r: float, n: int, post: PosteriorParams):
+    """Each record estimator as printed: last/n, r/(n-1), A/(s+1), A/(s-1), 2A/q."""
+    s, A = post.s, post.A
+    return {
+        EstimatorId.MLE_RECORDS: lambda: last / n,
+        EstimatorId.MLE_URR: lambda: r / (n - 1),
+        EstimatorId.BAYES_QUADRATIC: lambda: A / (s + 1),
+        EstimatorId.BAYES_SQUARED: lambda: A / (s - 1),
+        EstimatorId.BAYES_ABSOLUTE: lambda: 2 * A / chi2_quantile(0.5, 2 * s),
+    }[est]()
+
+
+class TestTextbookForms:
+    @pytest.mark.parametrize(
+        "prior", [PriorParams(a=3.0, b=5.0), PriorParams(a=0.7, b=0.13)]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8, 41])
+    def test_every_scalar_path_gives_the_printed_formula(self, n, prior):
+        named = {
+            EstimatorId.MLE_RECORDS: lambda sm, p: mle_records(sm.values[-1], sm.n),
+            EstimatorId.MLE_URR: lambda sm, p: mle_urr(sm.range, sm.n),
+            EstimatorId.BAYES_QUADRATIC: lambda sm, p: bayes_quadratic(p),
+            EstimatorId.BAYES_SQUARED: lambda sm, p: bayes_squared(p),
+            EstimatorId.BAYES_ABSOLUTE: lambda sm, p: bayes_absolute(p),
+        }
+        for rep in range(40):
+            sm = sample_records_direct(2.3, n, np.random.default_rng([n, rep]))
+            p = posterior_from(prior, sm)
+            for est in RECORD_ESTIMATORS:
+                want = textbook(est, sm.values[-1], sm.range, n, p)
+                assert named[est](sm, p) == want, est
+                assert estimator_rule(est)(sm, p) == want, est
+                assert point_estimate(est, sm, prior) == want, est
+
+
 class TestAnalyticMoments:
+    @pytest.mark.parametrize("est", RECORD_ESTIMATORS)
+    @pytest.mark.parametrize(
+        "delta,a,b", [(1.7, 0.3, 4.1), (0.23, 2.9, 0.13), (13.1, 7.7, 0.0)]
+    )
+    def test_match_the_scipy_gamma_moments_of_the_statistic(self, est, delta, a, b):
+        # last ~ Gamma(n, delta); r ~ Gamma(n - 1, delta) and A = b + r; the
+        # estimate is the statistic over its divisor
+        prior = PriorParams(a=a, b=b)
+        for n in range(2, 51):
+            s = a + n - 1.0
+            k, offset, divisor = {
+                EstimatorId.MLE_RECORDS: (n, 0.0, n),
+                EstimatorId.MLE_URR: (n - 1, 0.0, n - 1),
+                EstimatorId.BAYES_QUADRATIC: (n - 1, b, a + n),
+                EstimatorId.BAYES_SQUARED: (n - 1, b, a + n - 2),
+                EstimatorId.BAYES_ABSOLUTE: (n - 1, b, chi2_quantile(0.5, 2 * s) / 2),
+            }[est]
+            statistic = scipy.stats.gamma(k, scale=delta)
+            want_mean = (statistic.mean() + offset) / divisor
+            want_var = statistic.var() / divisor**2
+            m = analytic_moments(est, delta, n, prior)
+            assert math.isclose(m.mean, want_mean, rel_tol=1e-13), (est, n)
+            assert math.isclose(m.variance, want_var, rel_tol=1e-13), (est, n)
+            want_mse = want_var + (want_mean - delta) ** 2
+            assert math.isclose(m.mse, want_mse, rel_tol=1e-13), (est, n)
+
     def test_quadratic_example(self):
         m = analytic_moments(
             EstimatorId.BAYES_QUADRATIC, 2.0, 4, PriorParams(a=3.0, b=5.0)

@@ -21,6 +21,7 @@ from recrange import (
     SimConfig,
     SimResult,
     TableRow,
+    chi2_quantile,
     datasets,
     derive_rep_seed,
     estimator_rule,
@@ -88,6 +89,11 @@ class TestSimConfig:
             SimConfig(
                 delta_true=1.0, n_records=4, reps=3, seed=0, prior=PRIOR, workers=0
             )
+
+    def test_rejects_a_negative_seed(self):
+        # numpy seed sequences take no negative entropy
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            SimConfig(delta_true=1.0, n_records=4, reps=3, seed=-1, prior=PRIOR)
 
 
 class TestPointSim:
@@ -213,6 +219,21 @@ class TestIntervalSim:
         serial = run_interval_sim(SimConfig(**cfg, workers=1))
         parallel = run_interval_sim(SimConfig(**cfg, workers=2))
         assert serial.interval_rows == parallel.interval_rows
+
+    def test_prior_draw_underflow_is_a_domain_error(self):
+        # with a tiny prior shape the gamma draw of 1/delta underflows to 0
+        prior = PriorParams(a=0.001, b=1.0)
+        draws = [
+            np.random.default_rng(derive_rep_seed(0, rep, 3)).gamma(0.001, 1.0)
+            for rep in range(50)
+        ]
+        assert 0.0 in draws
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(3,), reps=50, seed=0, prior=prior,
+            alpha_list=(0.1,),
+        )
+        with pytest.raises(DomainError, match="got inf"):
+            run_interval_sim(cfg)
 
     def test_requires_alphas_and_proper_prior(self):
         with pytest.raises(DomainError):
@@ -433,6 +454,20 @@ class TestBlockPath:
             run_interval_sim(dataclasses.replace(cfg, alpha_list=(0.1,)))
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_block_estimates_are_the_printed_formulas(self, n):
+        # last/n, r/(n-1), A/(s+1), A/(s-1) and 2A/q on every repetition
+        ests = tuple(e for e in EstimatorId if e is not EstimatorId.MLE_SAMPLE)
+        a, b, reps = 0.7, 4.1, 30
+        got = sim._point_block(n, 5, 0, reps, 1.3, ests, a, b)
+        s = a + n - 1.0
+        q = chi2_quantile(0.5, 2 * s)
+        for rep in range(reps):
+            sm = sample_records_direct(1.3, n, derive_rep_seed(5, rep, n))
+            last, r = sm.values[-1], sm.range
+            A = b + r
+            want = [last / n, r / (n - 1), A / (s + 1), A / (s - 1), 2 * A / q]
+            assert got[rep].tolist() == want
 
     def test_bad_scale_raises_the_sampler_error(self):
         with pytest.raises(DomainError) as want:
