@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedEstimatorError,
 )
 from .estimators import EstimatorId, analytic_moments, estimator_rule, mle_sample
-from .intervals import IntervalKind, interval
+from .intervals import IntervalKind, _intervals
 from .model import PriorParams, posterior_coverage, posterior_from
 from .records import extract_upper_records, record_range_sequence, truncate
 from .risk import (
@@ -348,8 +348,7 @@ def cmd_interval(args) -> int:
     for n in ns:
         post = posterior_from(prior, truncate(summary, n))
         for alpha in alphas:
-            for kind in kinds:
-                iv = interval(kind, post, alpha)
+            for kind, iv in zip(kinds, _intervals(kinds, post, alpha)):
                 rows.append(
                     {
                         "n": n,

@@ -328,12 +328,6 @@ def hpd_hpm_calibrated(post: PosteriorParams, alpha: float) -> CredibleInterval:
     )
 
 
-# (s, A, alpha) and exact-HPD length of the last exact solve in interval(),
-# so hpd_hpm right after hpd_exact at the same posterior and level (the
-# order of --kind all) takes that length instead of solving again
-_last_exact: tuple = ((), 0.0)
-
-
 def interval(
     kind: IntervalKind, post: PosteriorParams, alpha: float
 ) -> CredibleInterval:
@@ -341,23 +335,26 @@ def interval(
 
     hpd_hpm is the closed form at g = the exact-HPD length at the same
     alpha, which exists at every level; its level field reports the
-    coverage actually reached. Asked right after hpd_exact at the same
-    posterior and alpha, it reuses that solve. hpd_hpm_calibrated is not a
-    kind.
+    coverage actually reached. hpd_hpm_calibrated is not a kind.
     """
-    global _last_exact
-    kind = IntervalKind(kind)
-    if kind is IntervalKind.EQUAL_TAILS:
-        return equal_tails(post, alpha)
-    key = (post.s, post.A, alpha)
-    last_key, length = _last_exact
-    if kind is IntervalKind.HPD_EXACT or last_key != key:
-        exact = hpd_exact(post, alpha)
-        length = exact.length
-        _last_exact = (key, length)
+    return _intervals((kind,), post, alpha)[0]
+
+
+def _intervals(kinds, post: PosteriorParams, alpha: float) -> list[CredibleInterval]:
+    # interval(kind, post, alpha) for each kind in order, with the exact HPD
+    # solved at most once and shared by hpd_exact and hpd_hpm
+    out, exact = [], None
+    for kind in map(IntervalKind, kinds):
+        if kind is IntervalKind.EQUAL_TAILS:
+            out.append(equal_tails(post, alpha))
+            continue
+        if exact is None:
+            exact = hpd_exact(post, alpha)
         if kind is IntervalKind.HPD_EXACT:
-            return exact
-    return hpd_hpm_closed_form(post, length)
+            out.append(exact)
+        else:
+            out.append(hpd_hpm_closed_form(post, exact.length))
+    return out
 
 
 def length_of_alpha(

@@ -76,14 +76,13 @@ class RecordSummary:
         return self.values[-1] - self.values[0]
 
 
-def extract_upper_records(data: Sequence[float]) -> RecordSummary:
-    """Scan a series once and return its upper records and record times."""
-    if len(data) == 0:
-        raise DomainError("cannot extract records from an empty series")
+def _upper_records(series, n: int | None = None) -> RecordSummary:
+    # The record rule, T(1) = 1 and T(k+1) = min{j > T(k) : x_j >= x_T(k)}, in
+    # one pass over an iterable; it stops after n records when n is given.
     values: list[float] = []
     times: list[int] = []
     current = -math.inf
-    for j, x in enumerate(data, start=1):
+    for j, x in enumerate(series, start=1):
         x = float(x)
         if not math.isfinite(x):
             raise DomainError(f"observation {j} is not finite: {x!r}")
@@ -91,7 +90,16 @@ def extract_upper_records(data: Sequence[float]) -> RecordSummary:
             values.append(x)
             times.append(j)
             current = x
+            if len(values) == n:
+                break
     return RecordSummary(values=tuple(values), times=tuple(times))
+
+
+def extract_upper_records(data: Sequence[float]) -> RecordSummary:
+    """Scan a series once and return its upper records and record times."""
+    if len(data) == 0:
+        raise DomainError("cannot extract records from an empty series")
+    return _upper_records(data)
 
 
 def record_range_sequence(summary: RecordSummary) -> tuple[float, ...]:
@@ -129,16 +137,20 @@ def _direct_values(delta: float, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.exponential(scale=delta, size=n).cumsum()
 
 
+def _check_sampler(delta: float, n: int) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise DomainError(f"scale delta must be positive, got {delta!r}")
+    if n < 2:
+        raise DomainError(f"record sampling needs n >= 2, got {n!r}")
+
+
 def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     """Draw n record values directly as a cumulative sum of Exp(delta) gaps.
 
     Skips simulating the underlying series entirely, so the record times are
     synthetic placeholders.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"scale delta must be positive, got {delta!r}")
-    if n < 2:
-        raise DomainError(f"record sampling needs n >= 2, got {n!r}")
+    _check_sampler(delta, n)
     rng = _as_generator(seed)
     values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
@@ -156,34 +168,20 @@ def sample_records_stream(
     late records have infinite mean, hence the explicit draw cap; hitting it
     raises CapExhaustedError carrying the partial summary.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"scale delta must be positive, got {delta!r}")
-    if n < 2:
-        raise DomainError(f"record sampling needs n >= 2, got {n!r}")
+    _check_sampler(delta, n)
     if cap < 1:
         raise DomainError(f"the draw cap must be positive, got {cap!r}")
     rng = _as_generator(seed)
-    values: list[float] = []
-    times: list[int] = []
-    current = -math.inf
-    drawn = 0
-    while drawn < cap:
-        chunk = min(_STREAM_CHUNK, cap - drawn)
-        xs = -delta * np.log1p(-rng.random(chunk))
-        for x in xs:
-            drawn += 1
-            x = float(x)
-            if x >= current:
-                values.append(x)
-                times.append(drawn)
-                current = x
-                if len(values) == n:
-                    return RecordSummary(values=tuple(values), times=tuple(times))
-    partial = (
-        RecordSummary(values=tuple(values), times=tuple(times)) if values else None
+    # values are drawn a chunk at a time only as the scan reaches them, so a
+    # scan that stops at n records leaves the rest of the stream undrawn
+    draws = (
+        x
+        for lo in range(0, cap, _STREAM_CHUNK)
+        for x in -delta * np.log1p(-rng.random(min(_STREAM_CHUNK, cap - lo)))
     )
+    summary = _upper_records(draws, n)
+    if summary.n == n:
+        return summary
     raise CapExhaustedError(
-        f"found {len(values)} of {n} records in {drawn} draws",
-        partial=partial,
-        draws=drawn,
+        f"found {summary.n} of {n} records in {cap} draws", partial=summary, draws=cap
     )

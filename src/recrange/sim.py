@@ -30,7 +30,7 @@ from .estimators import (
     mle_records,
     mle_urr,
 )
-from .intervals import IntervalKind, _equal_tails_endpoints, interval
+from .intervals import IntervalKind, _equal_tails_endpoints, _intervals
 from .model import PosteriorParams, PriorParams, posterior_from
 from .records import _direct_values, extract_upper_records, truncate
 
@@ -262,26 +262,25 @@ def _interval_block(
     delta, _, r = _sample_block(n, seed, lo, hi, None, (a, b))
     s, A = a + n - 1.0, b + r
     out = np.empty((hi - lo, len(cells), 2))
-    solved = []
+    hpd: dict = {}  # alpha -> (cell indices, kinds) of its HPD cells
     for j, (kind, alpha) in enumerate(cells):
         if kind is IntervalKind.EQUAL_TAILS:
             lower, upper, _ = _equal_tails_endpoints(s, A, alpha)
             out[:, j, 0] = (lower <= delta) & (delta <= upper)
             out[:, j, 1] = upper - lower
         else:
-            solved.append(j)
-    if not solved:
+            js, kinds = hpd.setdefault(alpha, ([], []))
+            js.append(j)
+            kinds.append(kind)
+    if not hpd:
         return out
-    # the HPD kinds, one repetition at a time; hpd_hpm right after hpd_exact
-    # at the same alpha, so interval() solves each exact HPD once
-    solved.sort(key=lambda j: (cells[j][1], cells[j][0] is IntervalKind.HPD_HPM))
+    # the HPD kinds, one repetition at a time and one exact solve per alpha
     for i, (A_i, delta_i) in enumerate(zip(A.tolist(), delta.tolist())):
         post = PosteriorParams(s=s, A=A_i)
-        for j in solved:
-            kind, alpha = cells[j]
-            iv = interval(kind, post, alpha)
-            out[i, j, 0] = 1.0 if iv.lower <= delta_i <= iv.upper else 0.0
-            out[i, j, 1] = iv.length
+        for alpha, (js, kinds) in hpd.items():
+            for j, iv in zip(js, _intervals(kinds, post, alpha)):
+                out[i, j, 0] = 1.0 if iv.lower <= delta_i <= iv.upper else 0.0
+                out[i, j, 1] = iv.length
     return out
 
 

@@ -102,6 +102,24 @@ class TestExtract:
         with pytest.raises(DomainError):
             extract_upper_records([1.0, math.inf, 2.0])
 
+    def test_single_value_is_a_single_record(self):
+        s = extract_upper_records([-3.5])
+        assert (s.values, s.times) == ((-3.5,), (1,))
+
+    def test_all_ties_are_all_records(self):
+        s = extract_upper_records([0.5] * 5)
+        assert s.values == (0.5,) * 5
+        assert s.times == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("j", [1, 2, 4])
+    def test_names_the_first_nonfinite_observation(self, j, bad):
+        data = [1.0, 0.5, 2.0, 3.0]
+        data[j - 1] = bad
+        data.append(math.nan)  # a later bad value is not the one named
+        with pytest.raises(DomainError, match=rf"^observation {j} is not finite"):
+            extract_upper_records(data)
+
     @pytest.fixture(scope="class")
     def long_series(self):
         # a +-0.01 random walk rounded to 2 decimals: it revisits its running
@@ -114,9 +132,10 @@ class TestExtract:
         # x_j is a record iff it is >= every earlier value
         is_record = np.r_[True, x[1:] >= np.maximum.accumulate(x)[:-1]]
         want_times = np.flatnonzero(is_record) + 1
-        s = extract_upper_records(x.tolist())
-        assert s.times == tuple(want_times.tolist())
-        assert s.values == tuple(x[is_record].tolist())
+        for data in (x.tolist(), x):  # a list or an ndarray
+            s = extract_upper_records(data)
+            assert s.times == tuple(want_times.tolist())
+            assert s.values == tuple(x[is_record].tolist())
         assert np.count_nonzero(np.diff(s.values) == 0.0) > 100  # ties occur
 
     def test_long_series_names_the_bad_observation(self, long_series):
@@ -283,6 +302,59 @@ class TestStreamSampler:
         mu4 = (3.0 * shape * shape + 6.0 * shape) * delta**4
         se_var = math.sqrt(2.0 * (mu4 - (shape * delta**2) ** 2) / wanted)
         assert abs(stream_ranges.var() - direct_ranges.var()) < 3.0 * se_var
+
+    @staticmethod
+    def _reference(delta, n, rng, cap):
+        # the stream sampler as a loop of its own: 256-value chunks, record
+        # rule inlined, stop at the n-th record or after cap draws
+        values, times = [], []
+        current = -math.inf
+        drawn = 0
+        while drawn < cap:
+            chunk = min(256, cap - drawn)
+            xs = -delta * np.log1p(-rng.random(chunk))
+            for x in xs:
+                drawn += 1
+                x = float(x)
+                if x >= current:
+                    values.append(x)
+                    times.append(drawn)
+                    current = x
+                    if len(values) == n:
+                        return RecordSummary(values=tuple(values), times=tuple(times))
+        partial = (
+            RecordSummary(values=tuple(values), times=tuple(times)) if values else None
+        )
+        raise CapExhaustedError(
+            f"found {len(values)} of {n} records in {drawn} draws",
+            partial=partial,
+            draws=drawn,
+        )
+
+    @staticmethod
+    def _outcome(sampler, delta, n, rng, cap):
+        try:
+            return sampler(delta, n, rng, cap=cap)
+        except CapExhaustedError as err:
+            return str(err), err.partial, err.draws
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_the_reference_loop(self, n):
+        # summaries, cap errors with their partial summary and draw count, and
+        # the generator state afterwards, over 300 seeds and caps around the
+        # chunk size
+        caps = (1, 2, 3, 255, 256, 257, 512, 1000, 5000)
+        capped = 0
+        for seed in range(300):
+            for cap in caps:
+                want_rng = np.random.default_rng(seed)
+                got_rng = np.random.default_rng(seed)
+                want = self._outcome(self._reference, 1.5, n, want_rng, cap)
+                got = self._outcome(sample_records_stream, 1.5, n, got_rng, cap)
+                assert got == want, (seed, cap)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                capped += isinstance(got, tuple)
+        assert 0 < capped < 300 * len(caps)  # both outcomes are exercised
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
