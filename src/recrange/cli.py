@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedEstimatorError,
 )
 from .estimators import EstimatorId, analytic_moments, estimator_rule, mle_sample
-from .intervals import IntervalKind, _intervals
+from .intervals import IntervalKind, _check_alpha, _intervals
 from .model import PriorParams, posterior_coverage, posterior_from
 from .records import extract_upper_records, record_range_sequence, truncate
 from .risk import (
@@ -137,8 +137,10 @@ def parse_alpha_list(text: str) -> tuple[float, ...]:
             value = float(token.strip())
         except ValueError:
             raise ParseError(f"bad alpha value: {token.strip()!r}") from None
-        if not 0.0 < value < 1.0:
-            raise ParseError(f"alpha must lie strictly between 0 and 1, got {value}")
+        try:
+            _check_alpha(value)
+        except DomainError as exc:
+            raise ParseError(str(exc)) from None
         out.append(value)
     return tuple(out)
 
@@ -211,7 +213,18 @@ def render_json(columns, rows, manifest=None) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _check_finite(rows) -> None:
+    # JSON has no inf or nan, and no artifact should carry one in any format
+    for row in rows:
+        for column, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(
+                    f"{column} is not finite for these inputs, got {value!r}"
+                )
+
+
 def _emit(args, columns, rows, formats, manifest) -> None:
+    _check_finite(rows)
     if args.format == "csv":
         text = render_csv(columns, rows, manifest)
     elif args.format == "json":
@@ -466,6 +479,7 @@ def cmd_simulate(args) -> int:
             for r in result.interval_rows
         ]
 
+    _check_finite(rows)
     csv_path = Path(f"{args.out}.csv")
     json_path = Path(f"{args.out}.json")
     csv_path.write_text(render_csv(columns, rows, manifest), encoding="utf-8")

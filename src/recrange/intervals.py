@@ -44,7 +44,7 @@ from .model import (
     posterior_mode,
     posterior_pdf,
 )
-from .specfun import chi2_quantile, reg_lower_gamma
+from .specfun import _chi2_isf, chi2_quantile, reg_lower_gamma
 
 __all__ = [
     "IntervalKind",
@@ -111,8 +111,12 @@ class CredibleInterval:
 
 
 def _check_alpha(alpha: float) -> None:
-    if math.isnan(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    # the one alpha check of the package; nan fails every comparison
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+        raise DomainError(
+            "alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha "
+            f"rounds to 1, got {alpha!r}"
+        )
 
 
 def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
@@ -140,7 +144,7 @@ def _equal_tails_pivots(s: float, alpha: float) -> tuple[float, float, float]:
     # coverage residual of the equal-tails interval they span
     nu = 2.0 * s
     q_lo = chi2_quantile(0.5 * alpha, nu)
-    q_hi = chi2_quantile(1.0 - 0.5 * alpha, nu)
+    q_hi = _chi2_isf(0.5 * alpha, nu)
     cover = reg_lower_gamma(s, 0.5 * q_hi) - reg_lower_gamma(s, 0.5 * q_lo)
     return q_lo, q_hi, cover - (1.0 - alpha)
 
@@ -158,7 +162,9 @@ def _log_ratio_guess(s: float, alpha: float) -> float:
     lower chi-square quantile collapses (small s or alpha), the tail form
     that puts all of alpha above c_H, where P(s, u) ~ u^s / Gamma(s + 1).
     """
-    z = _STD_NORMAL.inv_cdf(1.0 - 0.5 * alpha)
+    # the normal quantile at 1 - alpha/2, mirrored once that level rounds to 1
+    p = 1.0 - 0.5 * alpha
+    z = _STD_NORMAL.inv_cdf(p) if p < 1.0 else -_STD_NORMAL.inv_cdf(0.5 * alpha)
     c = 1.0 / (9.0 * s)
     base_hi = 1.0 - c + z * math.sqrt(c)
     base_lo = 1.0 - c - z * math.sqrt(c)

@@ -93,7 +93,8 @@ def risk_linear(
         raise DomainError(f"true scale delta must be positive, got {delta!r}")
     loss = LossWeight(loss)
     bracket, slope = _bracket(est, n)
-    scaled = bracket + 2.0 * est.d * slope / delta + est.d * est.d / (delta * delta)
+    q = est.d / delta  # formed before squaring, so a tiny delta overflows to inf
+    scaled = bracket + 2.0 * slope * q + q * q
     if loss is LossWeight.SCALED:
         return scaled
     return scaled * delta * delta
@@ -119,7 +120,7 @@ def bayes_risk_linear(
     bracket, slope = _bracket(est, n)
     if loss is LossWeight.SCALED:
         inv_mean = a / b
-        inv_sq = a * (a + 1.0) / (b * b)
+        inv_sq = inv_mean * (a + 1.0) / b  # not b * b, which underflows to 0
         return bracket + 2.0 * est.d * slope * inv_mean + est.d * est.d * inv_sq
     if a <= 2.0:
         raise DomainError(
@@ -149,11 +150,8 @@ def r1_r2_gap(k: float, n: int, b: float) -> float:
         raise DomainError(f"prior scale b must be positive, got {b!r}")
     rule = LinearEstimator(m=k / (1.0 + k * n), d=k * b / (1.0 + k * n))
     r1 = bayes_risk_linear(rule, n, PriorParams(a=1.0 / k, b=b))
-    r2 = (
-        1.0 / n
-        - 2.0 / (b * n * n * k)
-        + (k + 1.0) / (n * n * k * k * b * b)
-    )
+    c = 1.0 / b / (n * k)  # 1/(b n k), squared below: overflows, never divides by 0
+    r2 = 1.0 / n - 2.0 * c / n + (k + 1.0) * c * c
     return r1 - r2
 
 

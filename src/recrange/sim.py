@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,12 @@ from .estimators import (
     mle_records,
     mle_urr,
 )
-from .intervals import IntervalKind, _equal_tails_endpoints, _intervals
+from .intervals import (
+    IntervalKind,
+    _check_alpha,
+    _equal_tails_endpoints,
+    _intervals,
+)
 from .model import PosteriorParams, PriorParams, posterior_from
 from .records import _direct_values, extract_upper_records, truncate
 
@@ -114,8 +118,8 @@ class SimConfig:
             self, "estimators", tuple(EstimatorId(e) for e in self.estimators)
         )
         alphas = tuple(float(a) for a in self.alpha_list)
-        if any(math.isnan(a) or not 0.0 < a < 1.0 for a in alphas):
-            raise DomainError(f"every alpha must lie in (0, 1), got {alphas!r}")
+        for alpha in alphas:
+            _check_alpha(alpha)
         object.__setattr__(self, "alpha_list", alphas)
         object.__setattr__(
             self, "interval_kinds", tuple(IntervalKind(k) for k in self.interval_kinds)
@@ -196,25 +200,27 @@ def _sample_block(
     deltas, firsts, lasts = np.empty(k), np.empty(k), np.empty(k)
     if prior is not None:
         a, scale = prior[0], 1.0 / prior[1]
-    for i, rep in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
-        if prior is not None:
-            g = rng.gamma(shape=a, scale=scale)  # may underflow to 0
-            delta = 1.0 / g if g > 0.0 else math.inf  # _check_block rejects
-        values = _direct_values(delta, n, rng)
-        deltas[i] = delta
-        firsts[i] = values[0]
-        lasts[i] = values[-1]
-    with np.errstate(invalid="ignore"):  # inf - inf for an infinite scale
+    # overflowing draws are left to _check_block, which names their source
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, rep in enumerate(range(lo, hi)):
+            rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
+            if prior is not None:
+                g = rng.gamma(shape=a, scale=scale)  # may underflow to 0
+                delta = 1.0 / g if g > 0.0 else math.inf
+            values = _direct_values(delta, n, rng)
+            deltas[i] = delta
+            firsts[i] = values[0]
+            lasts[i] = values[-1]
         ranges = lasts - firsts
-    _check_block(n, deltas, lasts, ranges)
+    _check_block(n, deltas, lasts, ranges, prior)
     return deltas, lasts, ranges
 
 
-def _check_block(n: int, deltas, lasts, ranges) -> None:
+def _check_block(n: int, deltas, lasts, ranges, prior) -> None:
     # The per-repetition domain checks as one array check: every scale, last
     # record and range finite and positive (nan fails both comparisons). The
-    # first bad repetition raises what the sampler or the rules raise for it.
+    # first bad repetition names the input behind a scale or record value
+    # outside the floats, or raises what the rules raise for it.
     ok = (
         (0.0 < deltas) & (deltas < math.inf)
         & (0.0 < lasts) & (lasts < math.inf)
@@ -223,10 +229,16 @@ def _check_block(n: int, deltas, lasts, ranges) -> None:
     if ok.all():
         return
     i = int(ok.argmin())
-    if not 0.0 < deltas[i] < math.inf:
-        bad = float(deltas[i])
-        raise DomainError(f"scale delta must be positive, got {bad!r}")
-    mle_records(float(lasts[i]), n)
+    delta, last = float(deltas[i]), float(lasts[i])
+    if prior is None:
+        source = "the true scale"
+    else:
+        source = f"a scale drawn from the prior (a, b) = {prior!r}"
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"{source} is not a positive float, got {delta!r}")
+    if not last < math.inf:
+        raise DomainError(f"record values overflow at {source}, delta = {delta!r}")
+    mle_records(last, n)
     mle_urr(float(ranges[i]), n)
 
 
@@ -309,6 +321,9 @@ def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
     if workers <= 1:
         blocks = [block(*task) for task in tasks]
     else:
+        # imported here, so a study that starts no pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(block, *task) for task in tasks]
             blocks = [f.result() for f in futures]  # submission order == index order

@@ -14,6 +14,7 @@ constants below). Quantiles deep in the lower tail therefore keep their
 significant digits down to the smallest normal float, below which they
 raise ConvergenceError. Near p = 1 the accuracy is bounded by the rounding
 of p itself: an upper tail 1 - p of 5e-9 is known to about 1e-8 relative.
+The private _chi2_isf takes the upper tail itself and keeps its digits.
 """
 
 from __future__ import annotations
@@ -81,25 +82,33 @@ def reg_lower_gamma(s: float, x: float) -> float:
     if math.isinf(x):
         return 1.0
 
-    if s >= 100.0 and abs(x - s) < 0.5 * s:
-        # Stirling form of ln(x^s e^-x / Gamma(s)): the plain sum cancels
-        # terms of size s ln s and loses about 1e-10 by s = 1e5
-        t = (x - s) / s
-        log_front = (
-            s * (math.log1p(t) - t)
-            + 0.5 * math.log(s / (2.0 * math.pi))
-            - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
-        )
-    else:
-        log_front = s * math.log(x) - x - math.lgamma(s)
+    log_front = _log_front(s, x)
     if log_front < _LOG_TINY:
         # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
         return 1.0 if x > s else 0.0
 
-    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
     if x < s + 1.0:
-        return math.exp(log_front) * _lower_series(s, x, max_iter)
-    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, max_iter)
+        return math.exp(log_front) * _lower_series(s, x, _max_terms(s))
+    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, _max_terms(s))
+
+
+def _log_front(s: float, x: float) -> float:
+    # ln(x^s e^-x / Gamma(s)), the prefactor of both incomplete-gamma sums
+    if s >= 100.0 and abs(x - s) < 0.5 * s:
+        # Stirling form: the plain sum cancels terms of size s ln s and loses
+        # about 1e-10 by s = 1e5
+        t = (x - s) / s
+        return (
+            s * (math.log1p(t) - t)
+            + 0.5 * math.log(s / (2.0 * math.pi))
+            - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
+        )
+    return s * math.log(x) - x - math.lgamma(s)
+
+
+def _max_terms(s: float) -> int:
+    # near x = s the sums need about 8 sqrt(s) terms
+    return _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
 
 
 def _lower_series(s: float, x: float, max_iter: int) -> float:
@@ -176,6 +185,53 @@ def chi2_quantile(p: float, nu: float) -> float:
     per (p, nu) in a bounded table, so repeated levels cost a lookup.
     """
     return _chi2_quantile(p, nu)
+
+
+# below this upper tail, _chi2_isf solves for the tail itself instead of
+# inverting the CDF at 1 - q, whose rounding costs q's significant digits
+_ISF_TAIL = 1e-7
+
+
+def _chi2_isf(q: float, nu: float) -> float:
+    """The chi-square quantile with upper tail q, x with Q(nu/2, x/2) = q.
+
+    Above _ISF_TAIL it is chi2_quantile(1 - q, nu). Below, Newton steps on
+    ln Q(s, y) - ln q in y = x/2 with s = nu/2: the continued fraction gives
+    ln Q = ln(y^s e^-y / Gamma(s)) + ln(cf) to full relative precision for
+    y >= s + 1, and d ln Q / dy = -1 / (y cf). A root below s + 1, where
+    the fraction does not apply, also takes the CDF route.
+    """
+    s = 0.5 * nu
+    y = lo = s + 1.0
+    log_q = math.log(q)
+
+    def excess(y: float) -> tuple[float, float]:
+        cf = _upper_cont_frac(s, y, _max_terms(s))
+        return _log_front(s, y) + math.log(cf) - log_q, cf
+
+    if q >= _ISF_TAIL or excess(lo)[0] <= 0.0:
+        return chi2_quantile(1.0 - q, nu)
+    # Wilson-Hilferty start, kept inside the fraction's domain
+    c = 2.0 / (9.0 * nu)
+    base = 1.0 - c - _STD_NORMAL.inv_cdf(q) * math.sqrt(c)
+    if base > 0.0:
+        y = max(lo, s * base**3)
+    hi = math.inf
+    for _ in range(_MAX_ITER):
+        f, cf = excess(y)
+        if f > 0.0:
+            lo = y
+        else:
+            hi = y
+        y_new = y + f * y * cf
+        if not lo < y_new < hi:  # only after a step from above the root
+            y_new = 0.5 * (lo + hi)
+        if abs(y_new - y) <= 1e-15 * y:
+            return 2.0 * y_new
+        y = y_new
+    raise ConvergenceError(
+        f"upper-tail chi-square quantile stalled for q={q}, nu={nu}"
+    )
 
 
 @functools.lru_cache(maxsize=1024)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +156,16 @@ class TestEstimate:
         assert code == 2
 
 
+    def test_overflowing_moment_exits_2(self, invoke, sample_a_file):
+        code, out, err = invoke(
+            "estimate", str(sample_a_file), "--a", "3", "--b", "4",
+            "--delta-ref", "1e200", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: mle_records_mse is not finite for these inputs")
+
+
 class TestInterval:
     def test_all_kinds_with_coverage_check(self, invoke, sample_b_file):
         code, out, _ = invoke(
@@ -227,6 +238,30 @@ class TestInterval:
             "interval", str(sample_b_file), "--a", "3", "--b", "4", "--alpha", "1.5"
         )
         assert code == 2
+
+
+    def test_smallest_alpha_with_a_level(self, invoke, sample_b_file):
+        # 1 - alpha/2 rounds to 1 here, which the HPD start must not need
+        code, out, err = invoke(
+            "interval", str(sample_b_file), "--a", "3", "--b", "4",
+            "--alpha", "1e-16", "--kind", "all", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        rows = rows_of(out)
+        assert {r["kind"] for r in rows} == {"equal_tails", "hpd_exact", "hpd_hpm"}
+        assert all(0.0 < r["lower"] < r["upper"] for r in rows)
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300", "0.1,1e-20"])
+    def test_alpha_whose_level_rounds_to_one_exits_2(
+        self, invoke, sample_b_file, alpha
+    ):
+        code, out, err = invoke(
+            "interval", str(sample_b_file), "--a", "3", "--b", "4",
+            "--alpha", alpha, "--kind", "hpd_exact",
+        )
+        assert code == 2
+        bad = float(alpha.split(",")[-1])
+        assert err.splitlines() == [f"error: alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1, got {bad!r}"]
 
 
 class TestRecordCounts:
@@ -309,14 +344,58 @@ class TestSimulate:
         assert err.splitlines() == ["error: seed must be nonnegative, got -1"]
 
     @pytest.mark.filterwarnings("error")
-    def test_prior_draw_underflow_exits_2(self, invoke):
-        # a = 0.001 makes the prior's gamma draw underflow to 0: an infinite scale
-        code, out, err = invoke(
-            "simulate", "--mode", "interval", "--a", "0.001", "--b", "1",
-            "--n", "3", "--reps", "50", "--alpha", "0.1",
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # the prior's gamma draw of 1/delta underflows to 0
+            (
+                ["--mode", "interval", "--a", "0.001", "--b", "1", "--alpha", "0.1"],
+                "a scale drawn from the prior (a, b) = (0.001, 1.0) is not a "
+                "positive float, got inf",
+            ),
+            # 1/b overflows, so every drawn scale is 0
+            (
+                ["--mode", "interval", "--a", "3", "--b", "1e-320", "--alpha", "0.1"],
+                "a scale drawn from the prior (a, b) = (3.0, 1e-320) is not a "
+                "positive float, got 0.0",
+            ),
+            (
+                ["--delta", "1e308", "--a", "3", "--b", "4"],
+                "record values overflow at the true scale, delta = 1e+308",
+            ),
+        ],
+        ids=["prior_shape_underflow", "prior_scale_overflow", "delta_overflow"],
+    )
+    def test_out_of_range_draws_exit_2_naming_their_source(
+        self, invoke, tmp_path, args, message
+    ):
+        out = tmp_path / "x"
+        code, _, err = invoke(
+            "simulate", *args, "--n", "3", "--reps", "50", "--out", str(out)
         )
         assert code == 2
-        assert err.splitlines() == ["error: scale delta must be positive, got inf"]
+        assert err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_smallest_alpha_with_a_level(self, invoke, tmp_path):
+        out = tmp_path / "x"
+        code, _, err = invoke(
+            "simulate", "--mode", "interval", "--a", "3", "--b", "4", "--n", "3",
+            "--reps", "20", "--alpha", "1e-16", "--kind", "hpd_exact",
+            "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(Path(f"{out}.json").read_text())["rows"][0]["alpha"] == 1e-16
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    def test_alpha_whose_level_rounds_to_one_exits_2(self, invoke, tmp_path, alpha):
+        code, _, err = invoke(
+            "simulate", "--mode", "interval", "--a", "3", "--b", "4", "--n", "3",
+            "--reps", "20", "--alpha", alpha, "--kind", "hpd_exact",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1, got {float(alpha)!r}"]
 
     def test_zero_reps_exits_2(self, invoke, tmp_path):
         code, _, _ = invoke(
@@ -389,6 +468,26 @@ class TestRisk:
     def test_needs_some_mode(self, invoke):
         code, _, _ = invoke("risk", "--n", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "args, column",
+        [
+            # delta * delta, b * b and b * b in the gap underflow to 0
+            (["--m", "0.1", "--d", "1", "--delta", "1e-200"], "risk"),
+            (["--m", "0.2", "--d", "0.1", "--a", "3", "--b", "1e-200"], "bayes_risk"),
+            (["--b", "1e-200", "--k-sweep", "1:10", "--k-points", "3"], "r1"),
+            # the risk itself overflows
+            (["--m", "1e200", "--d", "0.1", "--delta", "1"], "risk"),
+        ],
+        ids=["tiny_delta", "tiny_b", "tiny_b_sweep", "huge_m"],
+    )
+    def test_out_of_range_values_exit_2(self, invoke, args, column, fmt):
+        code, out, err = invoke("risk", "--n", "4", *args, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {column} is not finite for these inputs")
 
 
 class TestReproduce:

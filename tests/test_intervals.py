@@ -120,13 +120,21 @@ class TestEqualTails:
         assert math.isclose(iv.upper, float(ref.isf(0.5 * alpha)), rel_tol=1e-9)
 
     def test_tiny_shape_at_small_alpha(self):
-        # both quantiles lie deep in the tails of a chi-square on 0.1 dof;
-        # the lower endpoint carries the rounding of 1 - alpha/2
+        # both quantiles lie deep in the tails of a chi-square on 0.1 dof
         p = post(0.05, 1.0)
         iv = equal_tails(p, 1e-8)
         ref = stats.invgamma(0.05, scale=1.0)
-        assert math.isclose(iv.lower, float(ref.ppf(5e-9)), rel_tol=1e-8)
+        assert math.isclose(iv.lower, float(ref.ppf(5e-9)), rel_tol=1e-12)
         assert math.isclose(iv.upper, float(ref.isf(5e-9)), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-10, 1e-12, 1e-15])
+    @pytest.mark.parametrize("s", [0.05, 1.0, 4.0, 50.0, 1e3])
+    def test_lower_endpoint_below_alpha_1e8_against_scipy(self, s, alpha):
+        # the lower endpoint solves the upper tail alpha/2 itself, since
+        # 1 - alpha/2 keeps only a few of alpha's digits
+        iv = equal_tails(post(s, 6.013778), alpha)
+        want = float(stats.invgamma.ppf(0.5 * alpha, s, scale=6.013778))
+        assert math.isclose(iv.lower, want, rel_tol=1e-9)
 
     def test_equal_tail_masses(self):
         p = post(4.0, 9.319232)
@@ -148,6 +156,21 @@ class TestEqualTails:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(DomainError):
             equal_tails(post(4.0, 9.319232), alpha)
+
+    @pytest.mark.parametrize("kind", list(IntervalKind))
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-300, 2.0**-54])
+    def test_rejects_an_alpha_whose_level_rounds_to_one(self, kind, alpha):
+        with pytest.raises(DomainError) as err:
+            interval(kind, post(4.0, 9.319232), alpha)
+        assert str(err.value) == f"alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1, got {alpha!r}"
+
+    @pytest.mark.parametrize("kind", list(IntervalKind))
+    def test_smallest_alphas_with_a_level(self, kind):
+        # 1 - alpha < 1 for both, while 1 - alpha/2 rounds to 1
+        for alpha in (1e-16, 2.0**-54 * (1 + 2.0**-52)):
+            assert 1.0 - alpha < 1.0 and 1.0 - 0.5 * alpha == 1.0
+            iv = interval(kind, post(4.0, 9.319232), alpha)
+            assert 0.0 < iv.lower < iv.upper
 
     @pytest.mark.parametrize("s", [0.05, 1.0, 4.0, 37.5, 2e3, 1e5])
     def test_cached_pair_gives_the_closed_form_bit_for_bit(self, s):

@@ -67,6 +67,10 @@ class TestRiskLinear:
         want = mom.variance / delta**2 + ((mom.mean - delta) / delta) ** 2
         assert math.isclose(risk_linear(est, delta, n), want, rel_tol=1e-12)
 
+    def test_tiny_scale_overflows_instead_of_dividing_by_zero(self):
+        # delta * delta underflows to 0; (d / delta)^2 overflows
+        assert risk_linear(LinearEstimator(m=0.1, d=1.0), 1e-200, 4) == math.inf
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             risk_linear(LinearEstimator(m=0.1, d=0.1), 0.0, 4)
@@ -118,6 +122,11 @@ class TestBayesRiskLinear:
         want = bayes_risk_linear(est, n, PriorParams(a, b), loss=LossWeight.UNSCALED)
         assert abs(losses.mean() - want) < 3.0 * se
 
+    def test_tiny_prior_scale_overflows_instead_of_dividing_by_zero(self):
+        # b * b underflows to 0; a (a + 1) / b^2 overflows
+        prior = PriorParams(a=3.0, b=1e-200)
+        assert bayes_risk_linear(LinearEstimator(m=0.2, d=0.1), 4, prior) == math.inf
+
     def test_rejects_degenerate_scale(self):
         with pytest.raises(DomainError):
             bayes_risk_linear(LinearEstimator(m=0.1, d=0.1), 4, PriorParams(a=1.0, b=0.0))
@@ -127,6 +136,9 @@ class TestGap:
     def test_frozen_oracle_values(self):
         for k, want in GAP_ORACLE.items():
             assert math.isclose(r1_r2_gap(float(k), 4, 2.0), want, rel_tol=1e-6)
+
+    def test_tiny_prior_scale_is_not_finite_instead_of_dividing_by_zero(self):
+        assert not math.isfinite(r1_r2_gap(1.0, 4, 1e-200))
 
     def test_magnitude_decreasing(self):
         gaps = [abs(r1_r2_gap(float(k), 4, 2.0)) for k in GAP_ORACLE]

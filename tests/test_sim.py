@@ -1,10 +1,14 @@
+import concurrent.futures
 import dataclasses
 import functools
 import math
 import os
 import pickle
+import subprocess
+import sys
 import types
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,25 @@ class TestSimConfig:
             SimConfig(
                 delta_true=1.0, n_records=4, reps=3, seed=0, prior=PRIOR, workers=0
             )
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-300, 2.0**-54])
+    def test_rejects_an_alpha_whose_level_rounds_to_one(self, alpha):
+        with pytest.raises(DomainError, match=r"exceed 2\*\*-54"):
+            SimConfig(
+                delta_true=1.0, n_records=4, reps=3, seed=0, prior=PRIOR,
+                alpha_list=(0.1, alpha),
+            )
+
+    def test_accepts_the_smallest_alpha_with_a_level(self):
+        # 1 - alpha < 1, while 1 - alpha/2 rounds to 1
+        alpha = 1e-16
+        assert 1.0 - alpha < 1.0 and 1.0 - 0.5 * alpha == 1.0
+        cfg = SimConfig(
+            delta_true=1.0, n_records=3, reps=5, seed=0, prior=PRIOR,
+            alpha_list=(alpha,), interval_kinds=tuple(IntervalKind),
+        )
+        rows = run_interval_sim(cfg).interval_rows
+        assert [r.empirical_coverage for r in rows] == [1.0, 1.0, 0.0]
 
     def test_rejects_a_negative_seed(self):
         # numpy seed sequences take no negative entropy
@@ -274,8 +297,9 @@ class _InlinePool:
 def pool_log(monkeypatch):
     """Inline pools on a host pinned to 8 usable CPUs; returns their log."""
     log = types.SimpleNamespace(started=[], submitted=[])
+    # sim imports the pool class from concurrent.futures when it starts one
     monkeypatch.setattr(
-        sim, "ProcessPoolExecutor", functools.partial(_InlinePool, log)
+        concurrent.futures, "ProcessPoolExecutor", functools.partial(_InlinePool, log)
     )
     # pinned, so pool sizes do not depend on the host's CPUs
     monkeypatch.setattr(
@@ -469,12 +493,80 @@ class TestBlockPath:
             want = [last / n, r / (n - 1), A / (s + 1), A / (s - 1), 2 * A / q]
             assert got[rep].tolist() == want
 
-    def test_bad_scale_raises_the_sampler_error(self):
-        with pytest.raises(DomainError) as want:
-            sample_records_direct(math.inf, 3)
+    def test_bad_prior_scale_names_the_prior(self):
         with pytest.raises(DomainError) as got:
-            sim._check_block(3, np.array([1.0, math.inf]), np.ones(2), np.ones(2))
-        assert str(got.value) == str(want.value)
+            sim._check_block(
+                3, np.array([1.0, math.inf]), np.ones(2), np.ones(2), (3.0, 4.0)
+            )
+        assert str(got.value) == (
+            "a scale drawn from the prior (a, b) = (3.0, 4.0) is not a positive "
+            "float, got inf"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (
+                dict(prior=PriorParams(a=0.001, b=1.0), alpha_list=(0.1,)),
+                "a scale drawn from the prior (a, b) = (0.001, 1.0) is not a "
+                "positive float, got inf",
+            ),
+            (
+                dict(prior=PriorParams(a=3.0, b=1e-320), alpha_list=(0.1,)),
+                "a scale drawn from the prior (a, b) = (3.0, 1e-320) is not a "
+                "positive float, got 0.0",
+            ),
+            (
+                dict(prior=PRIOR, delta_true=1e308),
+                "record values overflow at the true scale, delta = 1e+308",
+            ),
+        ],
+        ids=["shape_underflow", "scale_overflow", "records_overflow"],
+    )
+    def test_out_of_range_draws_name_their_source(self, cfg, message):
+        base = dict(delta_true=1.0, n_records=(3,), reps=50, seed=0)
+        cfg = SimConfig(**{**base, **cfg})
+        run = run_interval_sim if cfg.alpha_list else run_point_sim
+        with pytest.raises(DomainError) as got:
+            run(cfg)
+        assert str(got.value) == message
+
+    def test_out_of_range_draws_are_the_same_draws(self, monkeypatch):
+        # the draws behind the message are the study's own: the first
+        # repetition whose prior draw of 1/delta underflows is the one named
+        seen = []
+        check = sim._check_block
+
+        def recorded(n, deltas, *rest):
+            seen.append(deltas.tolist())
+            check(n, deltas, *rest)
+
+        monkeypatch.setattr(sim, "_check_block", recorded)
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(3,), reps=50, seed=0,
+            prior=PriorParams(a=0.001, b=1.0), alpha_list=(0.1,),
+        )
+        with pytest.raises(DomainError):
+            run_interval_sim(cfg)
+        draws = [
+            np.random.default_rng(derive_rep_seed(0, rep, 3)).gamma(0.001, 1.0)
+            for rep in range(50)
+        ]
+        want = [1.0 / g if g > 0.0 else math.inf for g in draws]
+        assert seen == [want]
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a study that starts a pool imports concurrent.futures.process
+    src = Path(sim.__file__).resolve().parents[1]
+    code = "import sys, recrange; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "False"
+
 
 class TestResultRows:
     @pytest.fixture(scope="class")
