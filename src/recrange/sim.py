@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,10 @@ def _sample_block(
     deltas, firsts, lasts = np.empty(k), np.empty(k), np.empty(k)
     if prior is not None:
         a, scale = prior[0], 1.0 / prior[1]
-    # overflowing draws are left to _check_block, which names their source
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflowing draws are left to _check_block, which names their source;
+    # silenced as warnings, since an errstate block slows each numpy call in it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         for i, rep in enumerate(range(lo, hi)):
             rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
             if prior is not None:

@@ -82,33 +82,25 @@ def reg_lower_gamma(s: float, x: float) -> float:
     if math.isinf(x):
         return 1.0
 
-    log_front = _log_front(s, x)
-    if log_front < _LOG_TINY:
-        # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
-        return 1.0 if x > s else 0.0
-
-    if x < s + 1.0:
-        return math.exp(log_front) * _lower_series(s, x, _max_terms(s))
-    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, _max_terms(s))
-
-
-def _log_front(s: float, x: float) -> float:
-    # ln(x^s e^-x / Gamma(s)), the prefactor of both incomplete-gamma sums
     if s >= 100.0 and abs(x - s) < 0.5 * s:
-        # Stirling form: the plain sum cancels terms of size s ln s and loses
-        # about 1e-10 by s = 1e5
+        # Stirling form of ln(x^s e^-x / Gamma(s)): the plain sum cancels
+        # terms of size s ln s and loses about 1e-10 by s = 1e5
         t = (x - s) / s
-        return (
+        log_front = (
             s * (math.log1p(t) - t)
             + 0.5 * math.log(s / (2.0 * math.pi))
             - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
         )
-    return s * math.log(x) - x - math.lgamma(s)
+    else:
+        log_front = s * math.log(x) - x - math.lgamma(s)
+    if log_front < _LOG_TINY:
+        # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
+        return 1.0 if x > s else 0.0
 
-
-def _max_terms(s: float) -> int:
-    # near x = s the sums need about 8 sqrt(s) terms
-    return _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
+    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
+    if x < s + 1.0:
+        return math.exp(log_front) * _lower_series(s, x, max_iter)
+    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, max_iter)
 
 
 def _lower_series(s: float, x: float, max_iter: int) -> float:
@@ -203,11 +195,13 @@ def _chi2_isf(q: float, nu: float) -> float:
     """
     s = 0.5 * nu
     y = lo = s + 1.0
-    log_q = math.log(q)
+    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
+    log_q_gamma = math.log(q) + math.lgamma(s)
 
     def excess(y: float) -> tuple[float, float]:
-        cf = _upper_cont_frac(s, y, _max_terms(s))
-        return _log_front(s, y) + math.log(cf) - log_q, cf
+        # ln Q(s, y) - ln q, and the fraction
+        cf = _upper_cont_frac(s, y, max_iter)
+        return s * math.log(y) - y + math.log(cf) - log_q_gamma, cf
 
     if q >= _ISF_TAIL or excess(lo)[0] <= 0.0:
         return chi2_quantile(1.0 - q, nu)

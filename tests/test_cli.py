@@ -13,6 +13,11 @@ from recrange.cli import (
     read_values,
 )
 
+# the one message for an alpha outside (2**-54, 1), from library and CLI alike
+ALPHA_MESSAGE = (
+    "alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1"
+)
+
 
 def rows_of(stdout: str) -> list[dict]:
     return json.loads(stdout)["rows"]
@@ -155,7 +160,6 @@ class TestEstimate:
         )
         assert code == 2
 
-
     def test_overflowing_moment_exits_2(self, invoke, sample_a_file):
         code, out, err = invoke(
             "estimate", str(sample_a_file), "--a", "3", "--b", "4",
@@ -239,7 +243,6 @@ class TestInterval:
         )
         assert code == 2
 
-
     def test_smallest_alpha_with_a_level(self, invoke, sample_b_file):
         # 1 - alpha/2 rounds to 1 here, which the HPD start must not need
         code, out, err = invoke(
@@ -261,7 +264,7 @@ class TestInterval:
         )
         assert code == 2
         bad = float(alpha.split(",")[-1])
-        assert err.splitlines() == [f"error: alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1, got {bad!r}"]
+        assert err.splitlines() == [f"error: {ALPHA_MESSAGE}, got {bad!r}"]
 
 
 class TestRecordCounts:
@@ -395,7 +398,7 @@ class TestSimulate:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2
-        assert err.splitlines() == [f"error: alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1, got {float(alpha)!r}"]
+        assert err.splitlines() == [f"error: {ALPHA_MESSAGE}, got {float(alpha)!r}"]
 
     def test_zero_reps_exits_2(self, invoke, tmp_path):
         code, _, _ = invoke(

@@ -162,7 +162,10 @@ class TestEqualTails:
     def test_rejects_an_alpha_whose_level_rounds_to_one(self, kind, alpha):
         with pytest.raises(DomainError) as err:
             interval(kind, post(4.0, 9.319232), alpha)
-        assert str(err.value) == f"alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha rounds to 1, got {alpha!r}"
+        assert str(err.value) == (
+            "alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha "
+            f"rounds to 1, got {alpha!r}"
+        )
 
     @pytest.mark.parametrize("kind", list(IntervalKind))
     def test_smallest_alphas_with_a_level(self, kind):
