@@ -3,24 +3,26 @@
 Implements the regularized lower incomplete gamma function, its generalized
 (two-endpoint, unnormalized) form, and the chi-square quantile. The
 incomplete gamma follows the classic bifurcation: power series on
-x < s + 1, continued fraction (modified Lentz) elsewhere. The quantile
-inverts the regularized gamma with a Wilson-Hilferty starting value refined
-by bracketed Newton steps.
+x < s + 1, continued fraction (modified Lentz) elsewhere. Both chi-square
+quantiles, lower (chi2_quantile) and upper (the private _chi2_isf), come
+from one solver: Newton steps on the log of the smaller tail, P(s, y) for
+p <= 1/2 and Q(s, y) at 1 - p otherwise, each summed from its own expansion
+in log space, from a Wilson-Hilferty start.
 
 All routines are pure scalar functions at fixed tolerances: the sums stop at
-a relative term of 1e-14, the quantile at a CDF residual of 1e-13 or 1e-10
-of the smaller tail, whichever is tighter, and every loop is capped (see the
-constants below). Quantiles deep in the lower tail therefore keep their
-significant digits down to the smallest normal float, below which they
-raise ConvergenceError. Near p = 1 the accuracy is bounded by the rounding
-of p itself: an upper tail 1 - p of 5e-9 is known to about 1e-8 relative.
-The private _chi2_isf takes the upper tail itself and keeps its digits.
+a relative term of 1e-14, a quantile once its log tail matches the target,
+or a Newton step moves it, by a few ulp, or its bracket closes, and every
+loop is capped (see the constants below). A quantile therefore keeps its
+significant digits in both tails, limited only by the rounding of its tail
+probability, down to the smallest normal float, below which it raises
+ConvergenceError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from statistics import NormalDist
 
 from .errors import ConvergenceError, DomainError
@@ -34,6 +36,8 @@ __all__ = [
 
 # exp() underflows below roughly -745; anything under this bound is a hard 0
 _LOG_TINY = -709.0
+# a quantile below the smallest normal float raises
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
 
 # guard against zero denominators inside the Lentz recurrence
 _FPMIN = 1e-300
@@ -43,10 +47,9 @@ _STD_NORMAL = NormalDist()
 # the series and continued-fraction sums stop once a term changes the total
 # by less than this relative amount
 _SUM_RTOL = 1e-14
-# the quantile accepts a CDF residual up to this, or up to _QUANTILE_TAIL_RTOL
-# times the smaller tail min(p, 1 - p) when that is tighter
-_QUANTILE_ATOL = 1e-13
-_QUANTILE_TAIL_RTOL = 1e-10
+# a quantile stops once its log-tail residual, its Newton step or its
+# bracket is this small relative to the log tail or the iterate: four ulp
+_STEP_RTOL = 2.0**-50
 # cap on every loop, so no input can hang a caller; the incomplete-gamma sums
 # scale it by ceil(sqrt(s) / 25), since near x = s they need about 8 sqrt(s)
 # terms
@@ -82,25 +85,51 @@ def reg_lower_gamma(s: float, x: float) -> float:
     if math.isinf(x):
         return 1.0
 
-    if s >= 100.0 and abs(x - s) < 0.5 * s:
-        # Stirling form of ln(x^s e^-x / Gamma(s)): the plain sum cancels
-        # terms of size s ln s and loses about 1e-10 by s = 1e5
-        t = (x - s) / s
-        log_front = (
-            s * (math.log1p(t) - t)
-            + 0.5 * math.log(s / (2.0 * math.pi))
-            - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
-        )
-    else:
-        log_front = s * math.log(x) - x - math.lgamma(s)
+    log_front = _log_front(s, x)
     if log_front < _LOG_TINY:
         # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
         return 1.0 if x > s else 0.0
-
     max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
     if x < s + 1.0:
         return math.exp(log_front) * _lower_series(s, x, max_iter)
     return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, max_iter)
+
+
+def _log_front(s: float, x: float) -> float:
+    # ln(x^s e^-x / Gamma(s)), the prefactor of both incomplete-gamma sums
+    if s >= 100.0 and abs(x - s) < 0.5 * s:
+        # Stirling form: the plain sum cancels terms of size s ln s and
+        # loses about 1e-10 by s = 1e5
+        t = (x - s) / s
+        return (
+            s * (math.log1p(t) - t)
+            + 0.5 * math.log(s / (2.0 * math.pi))
+            - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
+        )
+    return s * math.log(x) - x - math.lgamma(s)
+
+
+def _log_tail(s: float, y: float, upper: bool) -> float:
+    # ln Q(s, y) if upper else ln P(s, y), for 0 < y < inf. The tail that the
+    # bifurcation sums (P below s + 1, Q above) comes from its own sum in log
+    # space, so it keeps its digits far below the smallest float; the other
+    # tail is log1p of minus it.
+    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
+    summed_upper = y >= s + 1.0
+    if summed_upper:
+        log_sum = _log_front(s, y) + math.log(_upper_cont_frac(s, y, max_iter))
+    else:
+        log_sum = _log_front(s, y) + math.log(_lower_series(s, y, max_iter))
+    if upper == summed_upper:
+        return log_sum
+    summed = math.exp(log_sum)
+    if summed >= 1.0:
+        # possible only for s below about 1e-15: the other tail rounds away
+        raise ConvergenceError(
+            f"the {'upper' if upper else 'lower'} incomplete-gamma tail at "
+            f"s={s}, y={y} is below the rounding of 1"
+        )
+    return math.log1p(-summed)
 
 
 def _lower_series(s: float, x: float, max_iter: int) -> float:
@@ -168,66 +197,26 @@ def gen_incomplete_gamma(s: float, x_lo: float, x_hi: float) -> float:
 def chi2_quantile(p: float, nu: float) -> float:
     """Quantile of the chi-square distribution with nu degrees of freedom.
 
-    Solves reg_lower_gamma(nu/2, x/2) = p for x. The Wilson-Hilferty cube
-    approximation (or, deep in the lower tail, the leading-order series
-    inverse) seeds a Newton iteration on the CDF residual (on its logarithm
-    while the CDF exceeds a tiny p a thousandfold); every step is
-    safeguarded by a sign-change bracket and falls back to bisection whenever
-    Newton would leave it. Strictly increasing in p. Results are memoised
-    per (p, nu) in a bounded table, so repeated levels cost a lookup.
+    Solves P(nu/2, x/2) = p for x by Newton steps on the log of the smaller
+    tail: ln P - ln p for p <= 1/2, else ln Q - ln(1 - p), where 1 - p is
+    exact in floating point. Each step is kept inside a sign-change bracket
+    and falls back to bisection whenever Newton would leave it. The result
+    agrees with scipy's chi2.ppf to about 1e-13 relative from p = 1e-300 to
+    1 - 1e-8, and a quantile below the smallest normal float raises
+    ConvergenceError.
+    Strictly increasing in p. Results are memoised per (p, nu) in a bounded
+    table, so repeated levels cost a lookup.
     """
     return _chi2_quantile(p, nu)
-
-
-# below this upper tail, _chi2_isf solves for the tail itself instead of
-# inverting the CDF at 1 - q, whose rounding costs q's significant digits
-_ISF_TAIL = 1e-7
 
 
 def _chi2_isf(q: float, nu: float) -> float:
     """The chi-square quantile with upper tail q, x with Q(nu/2, x/2) = q.
 
-    Above _ISF_TAIL it is chi2_quantile(1 - q, nu). Below, Newton steps on
-    ln Q(s, y) - ln q in y = x/2 with s = nu/2: for y >= s + 1 the continued
-    fraction gives ln Q = ln(y^s e^-y / Gamma(s)) + ln(cf) with no 1 - P
-    cancellation, and d ln Q / dy = -1 / (y cf). The quantile then agrees
-    with scipy's chi2.isf to about 5e-15 up to s = 1e3 (2e-13 at s = 1e5).
-    A root below s + 1, where the fraction does not apply, also takes the
-    CDF route.
+    The solve of chi2_quantile on q itself, so a tiny q keeps the digits
+    that 1 - q would round away.
     """
-    s = 0.5 * nu
-    y = lo = s + 1.0
-    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
-    log_q_gamma = math.log(q) + math.lgamma(s)
-
-    def excess(y: float) -> tuple[float, float]:
-        # ln Q(s, y) - ln q, and the fraction
-        cf = _upper_cont_frac(s, y, max_iter)
-        return s * math.log(y) - y + math.log(cf) - log_q_gamma, cf
-
-    if q >= _ISF_TAIL or excess(lo)[0] <= 0.0:
-        return chi2_quantile(1.0 - q, nu)
-    # Wilson-Hilferty start, kept inside the fraction's domain
-    c = 2.0 / (9.0 * nu)
-    base = 1.0 - c - _STD_NORMAL.inv_cdf(q) * math.sqrt(c)
-    if base > 0.0:
-        y = max(lo, s * base**3)
-    hi = math.inf
-    for _ in range(_MAX_ITER):
-        f, cf = excess(y)
-        if f > 0.0:
-            lo = y
-        else:
-            hi = y
-        y_new = y + f * y * cf
-        if not lo < y_new < hi:  # only after a step from above the root
-            y_new = 0.5 * (lo + hi)
-        if abs(y_new - y) <= 1e-15 * y:
-            return 2.0 * y_new
-        y = y_new
-    raise ConvergenceError(
-        f"upper-tail chi-square quantile stalled for q={q}, nu={nu}"
-    )
+    return _tail_quantile(q, nu, True)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -238,79 +227,57 @@ def _chi2_quantile(p: float, nu: float) -> float:
         raise DomainError(f"probability p must lie in (0, 1), got {p!r}")
     if not math.isfinite(nu) or nu <= 0.0:
         raise DomainError(f"degrees of freedom must be positive, got {nu!r}")
+    if p <= 0.5:
+        return _tail_quantile(p, nu, False)
+    return _tail_quantile(1.0 - p, nu, True)
 
+
+def _tail_quantile(t: float, nu: float, upper: bool) -> float:
+    # x with T(nu/2, x/2) = t, where T is Q if upper else P: Newton steps on
+    # ln T(s, y) - ln t in y = x/2, whose slope is +-front / (y T) with
+    # front = y^s e^-y / Gamma(s), inside a sign-change bracket
     s = 0.5 * nu
-    lg = math.lgamma(s)
-    # relative to the smaller tail, so a tiny lower tail keeps its significant
-    # digits; near p = 1 the bracket collapse ends the solve at the rounding
-    # of p
-    tol = min(_QUANTILE_ATOL, _QUANTILE_TAIL_RTOL * min(p, 1.0 - p))
+    log_t = math.log(t)
 
-    def residual(x: float) -> float:
-        return reg_lower_gamma(s, 0.5 * x) - p
-
-    def density(x: float) -> float:
-        # chi-square pdf; 0.0 when the log underflows far in the tails
-        log_pdf = (s - 1.0) * math.log(0.5 * x) - 0.5 * x - lg
-        if log_pdf < _LOG_TINY:
-            return 0.0
-        return 0.5 * math.exp(log_pdf)
-
-    # Wilson-Hilferty start; for small p (or tiny nu) it can collapse to a
-    # nonpositive value, where the leading-order series inverse
-    # P(s, x/2) ~ (x/2)^s / Gamma(s + 1) is better
-    z = _STD_NORMAL.inv_cdf(p)
+    # start from the Wilson-Hilferty cube or, if larger, the leading-order
+    # series inverse of P(s, y) <= y^s / Gamma(s + 1), a lower bound on the
+    # root that is tight in the deep lower tail, where the cube collapses
+    log_y = (math.log(1.0 - t if upper else t) + math.lgamma(s + 1.0)) / s
+    z = _STD_NORMAL.inv_cdf(t)
     c = 2.0 / (9.0 * nu)
-    x = nu * (1.0 - c + z * math.sqrt(c)) ** 3
-    if x <= 0.0 or not math.isfinite(x):
-        log_half = (math.log(p) + math.lgamma(s + 1.0)) / s
-        if log_half < _LOG_TINY:
-            raise ConvergenceError(
-                f"the chi-square quantile for p={p}, nu={nu} lies below the "
-                "smallest normal float"
-            )
-        x = 2.0 * math.exp(log_half)
-
-    lo = 0.0
-    hi = max(x, 1e-8)
-    fhi = residual(hi)
-    for _ in range(_MAX_ITER):
-        if fhi >= 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-        fhi = residual(hi)
-    else:
+    base = 1.0 - c + (-z if upper else z) * math.sqrt(c)
+    if base > 0.0:
+        log_y = max(log_y, math.log(s) + 3.0 * math.log(base))
+    if log_y + math.log(2.0) < _LOG_NORMAL_MIN:
         raise ConvergenceError(
-            f"failed to bracket the chi-square quantile for p={p}, nu={nu}"
+            f"the chi-square quantile for {'q' if upper else 'p'}={t}, "
+            f"nu={nu} lies below the smallest normal float"
         )
+    y = math.exp(log_y)
 
-    # x <= hi always holds; a start inside the bracket is kept, however small
-    if x <= lo:
-        x = lo + 0.25 * (hi - lo)
+    lo, hi = 0.0, math.inf
     for _ in range(_MAX_ITER):
-        f = residual(x)
-        if abs(f) <= tol:
-            return x
-        if f > 0.0:
-            hi = x
+        log_tail = _log_tail(s, y, upper)
+        f = log_tail - log_t
+        if abs(f) <= _STEP_RTOL * abs(log_t):
+            return 2.0 * y
+        if (f > 0.0) != upper:  # y above the root: P too large or Q too small
+            hi = y
         else:
-            lo = x
-        pdf = density(x)
-        step_ok = pdf > 0.0
-        if step_ok:
-            if f > 1e3 * p:
-                # far above a tiny p the CDF is nearly exponential and a plain
-                # Newton step crawls; a step on ln P reaches the root
-                x_new = x - math.log1p(f / p) * (f + p) / pdf
-            else:
-                x_new = x - f / pdf
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * hi:
-            return 0.5 * (lo + hi)
-        x = x_new
+            lo = y
+        # y T / front from the logs, so neither underflows; a ratio that
+        # would overflow exp() sends the step to bisection
+        ratio = log_tail - _log_front(s, y)
+        step = f * y * math.exp(ratio) if ratio < -_LOG_TINY else math.inf
+        y_new = y + step if upper else y - step
+        if abs(y_new - y) <= _STEP_RTOL * y:
+            return 2.0 * y_new
+        if not lo < y_new < hi:
+            y_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+            if hi - lo <= _STEP_RTOL * lo:
+                return 2.0 * y_new
+        y = y_new
     raise ConvergenceError(
-        f"chi-square quantile iteration stalled for p={p}, nu={nu}"
+        f"chi-square quantile iteration stalled for "
+        f"{'q' if upper else 'p'}={t}, nu={nu}"
     )

@@ -26,6 +26,7 @@ from recrange import (
     posterior_mode,
     posterior_pdf,
 )
+from recrange.specfun import _chi2_isf
 
 # Frozen solver outputs for regression pinning. The endpoints were verified
 # against two independent oracles when first produced: a 1e6-point density
@@ -181,7 +182,7 @@ class TestEqualTails:
             p = post(s, A)
             for alpha in (1e-6, 0.05, 0.1, 0.5, 0.999):
                 iv = equal_tails(p, alpha)
-                assert iv.lower == 2.0 * A / chi2_quantile(1.0 - 0.5 * alpha, 2.0 * s)
+                assert iv.lower == 2.0 * A / _chi2_isf(0.5 * alpha, 2.0 * s)
                 assert iv.upper == 2.0 * A / chi2_quantile(0.5 * alpha, 2.0 * s)
                 residual = iv.diagnostics["coverage_residual"]
                 assert abs(residual) <= 1e-12
