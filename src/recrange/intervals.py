@@ -22,10 +22,11 @@ gives both endpoints in closed form,
 
     c_L = A (1 - e^-L) / ((a+n) L),    c_H = c_L e^L,
 
-and with u = A/delta the coverage is C(L) = P(s, u_hi) - P(s, u_lo), where
-u_hi = (a+n) L / (1 - e^-L) and u_lo = (a+n) L / (e^L - 1). C increases
-from 0 to 1 in L, so the exact solver is a single bracketed Newton root of
-C(L) = 1 - alpha (Chen & Shao 1999 discuss HPD computation in general).
+and with u = A/delta the mass left out is M(L) = P(s, u_lo) + Q(s, u_hi),
+where u_hi = (a+n) L / (1 - e^-L) and u_lo = (a+n) L / (e^L - 1). M falls
+from 1 to 0 in L and does not involve A, so the exact solver is a single
+bracketed Newton root of M(L) = alpha (Chen & Shao 1999 discuss HPD
+computation in general).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .model import (
     posterior_mode,
     posterior_pdf,
 )
-from .specfun import _chi2_isf, chi2_quantile, reg_lower_gamma
+from .specfun import _chi2_isf, _log_front, _log_tail, chi2_quantile
 
 __all__ = [
     "IntervalKind",
@@ -57,9 +58,11 @@ __all__ = [
     "length_of_alpha",
 ]
 
-# coverage target of the exact solver; chosen well inside the 1e-9 accuracy
-# contract so rounding noise never flips a test
-_COVERAGE_RTOL = 1e-12
+# the exact solver stops once the mass it leaves out is within
+# min(_MISSED_ATOL, _MISSED_RTOL * alpha) of alpha: well inside the 1e-9
+# relative accuracy contract, so rounding noise never flips a test
+_MISSED_ATOL = 1e-12
+_MISSED_RTOL = 1e-10
 # largest ln(c_H / c_L) tried: A / c_H = (a+n) L e^-L / (1 - e^-L) stays a
 # normal float there, so both endpoints stay finite
 _L_MAX = 600.0
@@ -145,8 +148,13 @@ def _equal_tails_pivots(s: float, alpha: float) -> tuple[float, float, float]:
     nu = 2.0 * s
     q_lo = chi2_quantile(0.5 * alpha, nu)
     q_hi = _chi2_isf(0.5 * alpha, nu)
-    cover = reg_lower_gamma(s, 0.5 * q_hi) - reg_lower_gamma(s, 0.5 * q_lo)
-    return q_lo, q_hi, cover - (1.0 - alpha)
+    return q_lo, q_hi, alpha - _missed_mass(s, 0.5 * q_lo, 0.5 * q_hi)
+
+
+def _missed_mass(s: float, u_lo: float, u_hi: float) -> float:
+    # P(s, u_lo) + Q(s, u_hi), the posterior mass outside [A/u_hi, A/u_lo],
+    # each tail from its own sum so that a tiny alpha keeps its digits
+    return math.exp(_log_tail(s, u_lo, False)) + math.exp(_log_tail(s, u_hi, True))
 
 
 def _equal_tails_endpoints(s: float, A, alpha: float):
@@ -162,9 +170,7 @@ def _log_ratio_guess(s: float, alpha: float) -> float:
     lower chi-square quantile collapses (small s or alpha), the tail form
     that puts all of alpha above c_H, where P(s, u) ~ u^s / Gamma(s + 1).
     """
-    # the normal quantile at 1 - alpha/2, mirrored once that level rounds to 1
-    p = 1.0 - 0.5 * alpha
-    z = _STD_NORMAL.inv_cdf(p) if p < 1.0 else -_STD_NORMAL.inv_cdf(0.5 * alpha)
+    z = -_STD_NORMAL.inv_cdf(0.5 * alpha)
     c = 1.0 / (9.0 * s)
     base_hi = 1.0 - c + z * math.sqrt(c)
     base_lo = 1.0 - c - z * math.sqrt(c)
@@ -178,25 +184,27 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
     """Exact HPD interval as one safeguarded Newton root in L = ln(c_H/c_L).
 
     Equal density fixes both endpoints for each L > 0 (module docstring),
-    so only the coverage C(L) = P(s, u_hi) - P(s, u_lo) = 1 - alpha is
-    solved. C rises from 0 to 1 and C'(L) is two gamma densities times
-    closed-form du/dL, so each step costs one posterior_coverage call. Steps
-    that leave the sign-change bracket, or do not shrink fast enough, fall
-    back to bisection, so the last-bit jitter of the incomplete gamma cannot
-    stall the solve. It stops when |C - (1 - alpha)| <= 1e-12 or when the
-    bracket collapses. outer_iterations counts the steps, the starting guess
-    included; each is one coverage evaluation.
+    so only the mass left out is solved: P(s, u_lo) + Q(s, u_hi) = alpha,
+    each tail from its own incomplete-gamma sum, so a tiny alpha keeps its
+    digits. In u = A/delta the solve does not involve A at all, and the
+    endpoints are A/u_hi and A/u_lo. The derivative in L is two gamma
+    densities times closed-form du/dL. Steps that leave the sign-change
+    bracket, or do not shrink fast enough, fall back to bisection, so the
+    last-bit jitter of the incomplete gamma cannot stall the solve. It stops
+    when the missed mass is within min(1e-12, 1e-10 alpha) of alpha, or when
+    the bracket collapses, and raises ConvergenceError when alpha cannot be
+    reached with c_H / c_L up to e^600. outer_iterations counts the steps,
+    the starting guess included; each evaluates the two tails once.
     """
     _check_alpha(alpha)
-    target = 1.0 - alpha
     s, A, apn = post.s, post.A, post.a_plus_n
-    ln_gamma_s = math.lgamma(s)
+    tol = min(_MISSED_ATOL, _MISSED_RTOL * alpha)
 
     def u_mass(u: float) -> float:
         # u times the Gamma(s, 1) density at u, i.e. d P(s, u) / d ln u
-        return math.exp(s * math.log(u) - u - ln_gamma_s)
+        return math.exp(_log_front(s, u))
 
-    lo, hi = 0.0, _L_MAX  # C(lo) < target; C(hi) >= target once reached
+    lo, hi = 0.0, _L_MAX  # missed mass > alpha at lo; <= alpha at hi once reached
     reached = False
     L = min(max(_log_ratio_guess(s, alpha), 1e-8), _L_MAX)
     step_old = hi - lo
@@ -206,8 +214,8 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
         one_minus = -math.expm1(-L)
         u_hi = apn * L / one_minus  # A / c_L
         u_lo = u_hi * math.exp(-L)  # A / c_H
-        residual = posterior_coverage(A / u_hi, A / u_lo, post) - target
-        if abs(residual) <= _COVERAGE_RTOL:
+        residual = alpha - _missed_mass(s, u_lo, u_hi)  # coverage - (1 - alpha)
+        if abs(residual) <= tol:
             break
         if residual < 0.0:
             lo = L
@@ -224,9 +232,10 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
         step_old = step - L
         L = step
 
-    if abs(residual) > _COVERAGE_RTOL and not reached:
+    if abs(residual) > tol and not reached:
         raise ConvergenceError(
-            f"could not reach coverage {target} with c_H / c_L up to e^{_L_MAX:g}"
+            f"could not reach coverage {1.0 - alpha} with c_H / c_L up to "
+            f"e^{_L_MAX:g}"
         )
     c_lo, c_hi = A / u_hi, A / u_lo
     pdf_lo = posterior_pdf(c_lo, post)

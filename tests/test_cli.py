@@ -3,8 +3,16 @@ import math
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
-from recrange import DomainError, ParseError, datasets
+from recrange import (
+    DomainError,
+    ParseError,
+    PriorParams,
+    datasets,
+    extract_upper_records,
+    posterior_from,
+)
 from recrange.cli import (
     RunManifest,
     parse_alpha_list,
@@ -253,6 +261,23 @@ class TestInterval:
         rows = rows_of(out)
         assert {r["kind"] for r in rows} == {"equal_tails", "hpd_exact", "hpd_hpm"}
         assert all(0.0 < r["lower"] < r["upper"] for r in rows)
+
+    def test_tiny_alpha_hpd_leaves_out_alpha(self, invoke, sample_b_file):
+        from recrange.records import truncate
+
+        code, out, err = invoke(
+            "interval", str(sample_b_file), "--a", "3", "--b", "4",
+            "--alpha", "1e-12", "--kind", "hpd_exact", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        summary = extract_upper_records(datasets.SAMPLE_B)
+        rows = rows_of(out)
+        assert len(rows) == 5
+        for row in rows:
+            post = posterior_from(PriorParams(a=3.0, b=4.0), truncate(summary, row["n"]))
+            dist = stats.invgamma(post.s, scale=post.A)
+            missed = dist.cdf(row["lower"]) + dist.sf(row["upper"])
+            assert abs(missed - 1e-12) <= 1e-9 * 1e-12
 
     @pytest.mark.parametrize("alpha", ["1e-17", "1e-300", "0.1,1e-20"])
     def test_alpha_whose_level_rounds_to_one_exits_2(

@@ -8,6 +8,7 @@ from scipy import stats
 
 from recrange import (
     BracketFailureError,
+    ConvergenceError,
     CredibleInterval,
     DomainError,
     IntervalKind,
@@ -249,16 +250,37 @@ class TestHpdExact:
         + [posterior_from(PriorParams(a=2.0, b=0.0), extract_upper_records([0.5, 1.0, 3.0, 3.5]))],
         ids=lambda p: f"s={p.s:g},A={p.A:g}",
     )
-    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.05, 0.5, 0.999])
+    @pytest.mark.parametrize(
+        "alpha", [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.05, 0.5, 0.999]
+    )
     def test_edge_cases_against_scipy(self, p, alpha):
         # s = 0.05 meets the last-bit non-monotone steps of the incomplete
-        # gamma, s = 1e5 needs its large-shape budget; both must converge
+        # gamma, s = 1e5 needs its large-shape budget; both must converge,
+        # and the mass left out must be alpha to 1e-9 of alpha itself
+        if p.s == 0.05 and alpha == 1e-14:
+            # even c_H / c_L = e^600 leaves out P(0.05, u_lo) ~ 1.3e-13
+            with pytest.raises(ConvergenceError, match="could not reach coverage"):
+                hpd_exact(p, alpha)
+            return
         iv = hpd_exact(p, alpha)
         dist = stats.invgamma(p.s, scale=p.A)
         cover = dist.cdf(iv.upper) - dist.cdf(iv.lower)
         assert abs(cover - (1.0 - alpha)) < 1e-9
+        missed = dist.cdf(iv.lower) + dist.sf(iv.upper)
+        assert abs(missed - alpha) <= 1e-9 * alpha
         assert abs(dist.logpdf(iv.lower) - dist.logpdf(iv.upper)) < 1e-9
         assert iv.diagnostics["outer_iterations"] <= 50
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    @pytest.mark.parametrize("s", [0.3, 1.0, 4.0, 50.0, 1e3])
+    def test_solve_does_not_depend_on_the_scale(self, s, alpha):
+        # the missed mass is solved in u = A/delta, so every scale takes the
+        # same steps to the same residual
+        seen = {
+            (iv.diagnostics["outer_iterations"], iv.diagnostics["coverage_residual"])
+            for iv in (hpd_exact(post(s, A), alpha) for A in (1e-3, 1.0, 7.0, 1e4))
+        }
+        assert len(seen) == 1
 
     @given(
         st.floats(min_value=1.2, max_value=30.0),

@@ -556,16 +556,29 @@ class TestBlockPath:
         want = [1.0 / g if g > 0.0 else math.inf for g in draws]
         assert seen == [want]
 
-def test_import_leaves_the_process_pool_unloaded():
-    # only a study that starts a pool imports concurrent.futures.process
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # only a study that starts a pool imports concurrent.futures.process, and
+    # the runtime needs numpy only: scipy is a test oracle, never loaded by
+    # the import or by an interval run of every kind
     src = Path(sim.__file__).resolve().parents[1]
-    code = "import sys, recrange; print('concurrent.futures.process' in sys.modules)"
+    data = tmp_path / "sample_b.txt"
+    data.write_text("\n".join(repr(v) for v in datasets.SAMPLE_B) + "\n")
+    argv = ["interval", str(data), "--a", "3", "--b", "4", "--kind", "all",
+            "--out", str(tmp_path / "interval.csv")]
+    code = (
+        "import sys, recrange\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "from recrange.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert done.stdout.strip() == "False"
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "[]")
 
 
 class TestResultRows:

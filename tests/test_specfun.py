@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,13 @@ P_4_9319232 = 0.9830825863712918  # quad of t^3 e^-t / 6 over [0, 9.319232]
 GSTAR_4_05_3 = 2.1060989319688677  # quad of t^3 e^-t over [0.5, 3.0]
 CHI2_95_8 = 15.50731305586545
 CHI2_50_8 = 7.344121497701794
+
+# tail probabilities from 1e-300 to 1 - 1e-8, for the quantile grid
+GRID_P = [
+    1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-20, 1e-15, 1e-12, 1e-10, 1e-8,
+    1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+    0.95, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8,
+]
 
 
 class TestLnGamma:
@@ -207,6 +215,26 @@ class TestChi2Quantile:
         # would crawl past the loop cap
         ref = float(stats.chi2.ppf(p, nu))
         assert math.isclose(chi2_quantile(p, nu), ref, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "nu", [0.1, 0.5, 1.0, 3.0, 8.0, 50.0, 240.0, 1e3, 2e4, 2e5]
+    )
+    @pytest.mark.parametrize(
+        "ours, ref",
+        [(chi2_quantile, stats.chi2.ppf), (specfun._chi2_isf, stats.chi2.isf)],
+        ids=["ppf", "isf"],
+    )
+    def test_grid_against_scipy(self, ours, ref, nu):
+        # the smaller tail is solved from its own sum in log space, so both
+        # ends of both routes keep their digits down to the smallest normal
+        # float, below which the quantile raises
+        for p in GRID_P:
+            want = float(ref(p, nu))
+            if want < sys.float_info.min:
+                with pytest.raises(ConvergenceError):
+                    ours(p, nu)
+            else:
+                assert math.isclose(ours(p, nu), want, rel_tol=1e-12), (p, nu)
 
     def test_underflowing_quantile_raises_a_package_error(self):
         # the 1e-300 quantile of chi-square(1) is about 1e-600
