@@ -12,6 +12,7 @@ from recrange import (
     datasets,
     extract_upper_records,
     posterior_from,
+    truncate,
 )
 from recrange.cli import (
     RunManifest,
@@ -263,8 +264,6 @@ class TestInterval:
         assert all(0.0 < r["lower"] < r["upper"] for r in rows)
 
     def test_tiny_alpha_hpd_leaves_out_alpha(self, invoke, sample_b_file):
-        from recrange.records import truncate
-
         code, out, err = invoke(
             "interval", str(sample_b_file), "--a", "3", "--b", "4",
             "--alpha", "1e-12", "--kind", "hpd_exact", "--format", "json",

@@ -236,6 +236,12 @@ class TestChi2Quantile:
             else:
                 assert math.isclose(ours(p, nu), want, rel_tol=1e-12), (p, nu)
 
+    @pytest.mark.parametrize("p, nu", [(1.0 - 2.0**-53, 1e-15), (1.0 - 2.0**-53, 1e-16)])
+    def test_tail_below_the_rounding_of_one_raises_a_package_error(self, p, nu):
+        # the upper tail 2**-53 is summed as 1 - P, and P rounds to 1 there
+        with pytest.raises(ConvergenceError, match="below the rounding of 1"):
+            chi2_quantile(p, nu)
+
     def test_underflowing_quantile_raises_a_package_error(self):
         # the 1e-300 quantile of chi-square(1) is about 1e-600
         with pytest.raises(RecRangeError):
