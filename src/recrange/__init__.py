@@ -10,7 +10,6 @@ shell.
 
 from ._meta import TOOL_VERSION as __version__
 from .errors import (
-    BracketFailureError,
     CapExhaustedError,
     ConvergenceError,
     DegeneratePosteriorError,
@@ -62,7 +61,6 @@ from .intervals import (
     IntervalKind,
     equal_tails,
     hpd_exact,
-    hpd_hpm_calibrated,
     hpd_hpm_closed_form,
     interval,
     length_of_alpha,
@@ -99,7 +97,6 @@ __all__ = [
     "DegeneratePosteriorError",
     "UnsupportedEstimatorError",
     "ConvergenceError",
-    "BracketFailureError",
     "CapExhaustedError",
     # special functions
     "ln_gamma",
@@ -141,7 +138,6 @@ __all__ = [
     "equal_tails",
     "hpd_exact",
     "hpd_hpm_closed_form",
-    "hpd_hpm_calibrated",
     "length_of_alpha",
     # risk
     "LinearEstimator",

@@ -40,10 +40,6 @@ class ConvergenceError(RecRangeError, RuntimeError):
     """An iterative routine exhausted its iteration budget."""
 
 
-class BracketFailureError(ConvergenceError):
-    """A root bracket could not be established; the target is unreachable."""
-
-
 class CapExhaustedError(RecRangeError, RuntimeError):
     """Stream sampling hit its draw cap before collecting enough records."""
 

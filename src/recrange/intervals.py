@@ -8,10 +8,7 @@ Three constructions on the inverted-gamma posterior (shape s, scale A):
 * a closed-form approximation that maps a target length g directly to an
   interval [c(g), c(g) + g] with
 
-      c(g) = (A + 2 (a+n) g + sqrt(A^2 + 8 A (a+n) g)) / (2 (a+n)),
-
-  either evaluated at a supplied g or calibrated so its posterior coverage
-  hits a requested level.
+      c(g) = (A + 2 (a+n) g + sqrt(A^2 + 8 A (a+n) g)) / (2 (a+n)).
 
 interval(kind, post, alpha) selects a construction by IntervalKind; its
 hpd_hpm is the closed form at g = the exact-HPD length at the same alpha.
@@ -38,7 +35,7 @@ from enum import Enum
 from statistics import NormalDist
 from typing import Sequence
 
-from .errors import BracketFailureError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .model import (
     PosteriorParams,
     posterior_coverage,
@@ -54,7 +51,6 @@ __all__ = [
     "equal_tails",
     "hpd_exact",
     "hpd_hpm_closed_form",
-    "hpd_hpm_calibrated",
     "length_of_alpha",
 ]
 
@@ -276,70 +272,7 @@ def hpd_hpm_closed_form(post: PosteriorParams, g: float) -> CredibleInterval:
         upper=upper,
         level=cover,
         kind=IntervalKind.HPD_HPM,
-        diagnostics={"equal_density_residual": residual, "g": g},
-    )
-
-
-def hpd_hpm_calibrated(post: PosteriorParams, alpha: float) -> CredibleInterval:
-    """Closed-form interval with g calibrated so coverage hits 1 - alpha.
-
-    The coverage of the closed-form family rises from 0 at g = 0, peaks,
-    and falls back toward 0, so a requested level above the peak does not
-    exist. The doubling search raises a bracket failure as soon as coverage
-    starts decreasing while still short of the target (or after 60
-    doublings), reporting the best coverage seen.
-    """
-    _check_alpha(alpha)
-    target = 1.0 - alpha
-
-    def coverage_of(g: float) -> float:
-        return hpd_hpm_closed_form(post, g).level
-
-    g_lo, g_hi = 0.0, posterior_mode(post) * 0.1
-    best = 0.0
-    for _ in range(60):
-        cov = coverage_of(g_hi)
-        if cov >= target:
-            break
-        if cov < best - 1e-12:
-            raise BracketFailureError(
-                f"closed-form coverage peaks near {best:.6f}, below the "
-                f"requested {target:.6f}"
-            )
-        best = max(best, cov)
-        g_lo = g_hi
-        g_hi *= 2.0
-    else:
-        raise BracketFailureError(
-            f"requested coverage {target:.6f} not reached after 60 doublings "
-            f"(best {best:.6f})"
-        )
-
-    g = g_hi
-    cov = coverage_of(g)
-    for _ in range(200):
-        if abs(cov - target) <= 1e-10:
-            break
-        mid = 0.5 * (g_lo + g_hi)
-        cov_mid = coverage_of(mid)
-        if cov_mid >= target:
-            g_hi = mid
-        else:
-            g_lo = mid
-        if abs(cov_mid - target) < abs(cov - target):
-            g, cov = mid, cov_mid
-        if g_hi - g_lo <= 1e-16 * max(1.0, g_hi):
-            break
-
-    interval = hpd_hpm_closed_form(post, g)
-    diagnostics = dict(interval.diagnostics)
-    diagnostics["coverage_residual"] = interval.level - target
-    return CredibleInterval(
-        lower=interval.lower,
-        upper=interval.upper,
-        level=interval.level,
-        kind=IntervalKind.HPD_HPM,
-        diagnostics=diagnostics,
+        diagnostics={"equal_density_residual": residual},
     )
 
 
@@ -350,7 +283,7 @@ def interval(
 
     hpd_hpm is the closed form at g = the exact-HPD length at the same
     alpha, which exists at every level; its level field reports the
-    coverage actually reached. hpd_hpm_calibrated is not a kind.
+    coverage actually reached.
     """
     return _intervals((kind,), post, alpha)[0]
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from recrange import (
-    BracketFailureError,
     ConvergenceError,
     CredibleInterval,
     DomainError,
@@ -18,7 +17,6 @@ from recrange import (
     equal_tails,
     extract_upper_records,
     hpd_exact,
-    hpd_hpm_calibrated,
     hpd_hpm_closed_form,
     interval,
     length_of_alpha,
@@ -339,35 +337,23 @@ class TestHpmClosedForm:
         iv = hpd_hpm_closed_form(post_small, 0.5)
         assert iv.lower > posterior_mode(post_small)
 
-
-class TestHpmCalibrated:
-    def test_meets_target_when_attainable(self, post_small):
-        iv = hpd_hpm_calibrated(post_small, 0.95)
-        assert abs(iv.level - 0.05) < 1e-8
-        assert abs(iv.diagnostics["coverage_residual"]) < 1e-8
-
-    def test_gap_decreasing_in_alpha(self, post_small):
-        gaps = [
-            hpd_hpm_calibrated(post_small, a).diagnostics["g"]
-            for a in (0.92, 0.95, 0.97, 0.999)
+    @pytest.mark.parametrize(
+        "s, peak",
+        [(0.01, 0.0063), (0.5, 0.0843), (2.0, 0.0976), (10.0, 0.0881), (1000.0, 0.0713)],
+    )
+    def test_coverage_peaks_below_a_tenth_and_depends_on_g_over_A(self, s, peak):
+        # the coverage of [c(g), c(g) + g] is a function of g/A and s alone,
+        # and it never reaches 0.1, so no conventional level is attainable by
+        # choosing g; the log grid finds each peak to within 1%
+        ratios = np.logspace(-7.0, 5.0, 241)
+        unit = [hpd_hpm_closed_form(post(s, 1.0), float(r)).level for r in ratios]
+        scaled = [
+            hpd_hpm_closed_form(post(s, 37.0), 37.0 * float(r)).level for r in ratios
         ]
-        assert all(x > y for x, y in zip(gaps, gaps[1:]))
-
-    def test_shrink_limit(self, post_small):
-        iv = hpd_hpm_calibrated(post_small, 0.999)
-        assert iv.diagnostics["g"] < 0.05 * posterior_mode(post_small)
-
-    def test_never_beats_exact_hpd(self, post_small):
-        alpha = 0.95
-        assert hpd_hpm_calibrated(post_small, alpha).length >= hpd_exact(
-            post_small, alpha
-        ).length
-
-    def test_unattainable_coverage_raises(self, post_small):
-        # the closed-form family tops out near 9.2% coverage here, so a
-        # conventional 90% request cannot be met; the error says so
-        with pytest.raises(BracketFailureError, match="peaks near"):
-            hpd_hpm_calibrated(post_small, 0.10)
+        assert max(unit) < 0.1
+        assert math.isclose(max(unit), peak, rel_tol=0.01)
+        for a, b in zip(unit, scaled):
+            assert abs(a - b) <= 1e-13
 
 
 class TestIntervalDispatch:
@@ -383,8 +369,9 @@ class TestIntervalDispatch:
 
     @pytest.mark.parametrize("alpha", [0.01, 0.10, 0.50, 0.95])
     def test_hpd_hpm_exists_at_every_level(self, post_small, alpha):
-        # the calibrated variant cannot reach 0.90 here; the dispatched
-        # kind is the closed form at the exact-HPD length, so it always can
+        # the closed form's coverage peaks below 0.1 (see TestHpmClosedForm),
+        # but the dispatched kind is the closed form at the exact-HPD length,
+        # so it exists at every level
         iv = interval(IntervalKind.HPD_HPM, post_small, alpha)
         assert iv.kind is IntervalKind.HPD_HPM
         exact = hpd_exact(post_small, alpha)

@@ -217,7 +217,7 @@ class TestIntervalSim:
 
     def test_hpd_hpm_length_equals_exact_hpd_length(self):
         # hpd_hpm is the closed form at the exact-HPD length, so it exists
-        # at alpha 0.10, where the coverage-calibrated variant cannot
+        # at alpha 0.10, far above the closed form's own coverage peak
         cfg = SimConfig(
             delta_true=1.0, n_records=3, reps=60, seed=29,
             prior=PriorParams(a=3.0, b=4.0),
