@@ -15,7 +15,9 @@ or a Newton step moves it, by a few ulp, or its bracket closes, and every
 loop is capped (see the constants below). A quantile therefore keeps its
 significant digits in both tails, limited only by the rounding of its tail
 probability, down to the smallest normal float, below which it raises
-ConvergenceError.
+ConvergenceError. A shape s above 1e10 raises ConvergenceError wherever an
+incomplete-gamma sum would run; a tail that saturates to 0 or 1 before any
+sum still returns.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ _STEP_RTOL = 2.0**-50
 # scale it by ceil(sqrt(s) / 25), since near x = s they need about 8 sqrt(s)
 # terms
 _MAX_ITER = 500
+# the largest shape whose incomplete-gamma sums are run: 8 sqrt(s) terms is
+# 8e5 here, under a second, while the sums grow without bound above it (and
+# stall once s + 1 rounds to s), so a larger shape raises ConvergenceError
+_SHAPE_MAX = 1e10
 
 
 def ln_gamma(x: float) -> float:
@@ -89,7 +95,7 @@ def reg_lower_gamma(s: float, x: float) -> float:
     if log_front < _LOG_TINY:
         # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
         return 1.0 if x > s else 0.0
-    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
+    max_iter = _max_terms(s)
     if x < s + 1.0:
         return math.exp(log_front) * _lower_series(s, x, max_iter)
     return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, max_iter)
@@ -114,7 +120,7 @@ def _log_tail(s: float, y: float, upper: bool) -> float:
     # bifurcation sums (P below s + 1, Q above) comes from its own sum in log
     # space, so it keeps its digits far below the smallest float; the other
     # tail is log1p of minus it.
-    max_iter = _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
+    max_iter = _max_terms(s)
     summed_upper = y >= s + 1.0
     if summed_upper:
         log_sum = _log_front(s, y) + math.log(_upper_cont_frac(s, y, max_iter))
@@ -130,6 +136,16 @@ def _log_tail(s: float, y: float, upper: bool) -> float:
             f"s={s}, y={y} is below the rounding of 1"
         )
     return math.log1p(-summed)
+
+
+def _max_terms(s: float) -> int:
+    # the term cap of both incomplete-gamma sums at shape s
+    if s > _SHAPE_MAX:
+        raise ConvergenceError(
+            f"shape s={s} exceeds {_SHAPE_MAX:g}, the largest shape whose "
+            "incomplete-gamma sums are evaluated"
+        )
+    return _MAX_ITER * max(1, math.ceil(math.sqrt(s) / 25.0))
 
 
 def _lower_series(s: float, x: float, max_iter: int) -> float:
@@ -237,6 +253,7 @@ def _tail_quantile(t: float, nu: float, upper: bool) -> float:
     # ln T(s, y) - ln t in y = x/2, whose slope is +-front / (y T) with
     # front = y^s e^-y / Gamma(s), inside a sign-change bracket
     s = 0.5 * nu
+    _max_terms(s)  # a shape above the bound raises here, before lgamma(s + 1)
     log_t = math.log(t)
 
     # start from the Wilson-Hilferty cube or, if larger, the leading-order

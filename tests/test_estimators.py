@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from recrange import estimators
 from recrange import (
+    ConvergenceError,
     DegeneratePosteriorError,
     DomainError,
     EstimatorId,
@@ -141,6 +142,11 @@ class TestBayesPoint:
         p = post(4.0, 9.319232)
         med = bayes_absolute(p)
         assert abs(posterior_coverage(1e-12, med, p) - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("s", [1.0000001e10, 1e15, 1e300])
+    def test_absolute_above_the_shape_bound_raises(self, s):
+        with pytest.raises(ConvergenceError, match="exceeds"):
+            bayes_absolute(post(s, 4.0))
 
     def test_absolute_quantile_form(self):
         p = post(4.0, 9.319232)

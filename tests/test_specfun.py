@@ -261,3 +261,29 @@ class TestLoopCap:
                 chi2_quantile(0.5, 8.0)
         finally:
             specfun._chi2_quantile.cache_clear()
+
+
+class TestShapeBound:
+    @pytest.mark.parametrize("s", [1.0000001e10, 1e12, 1e15, 1e20, 1e300, 1e306])
+    def test_sums_above_the_bound_raise(self, s):
+        # near x = s the sums would need about 8 sqrt(s) terms, and once
+        # s + 1 rounds to s the continued fraction divides by zero; at 1e306
+        # the quantile's starting guess would overflow lgamma(s + 1)
+        with pytest.raises(ConvergenceError, match="exceeds"):
+            reg_lower_gamma(s, s)
+        with pytest.raises(ConvergenceError, match="exceeds"):
+            chi2_quantile(0.5, 2.0 * s)
+        with pytest.raises(ConvergenceError, match="exceeds"):
+            chi2_quantile(1e-3, 2.0 * s)
+
+    @pytest.mark.parametrize("s", [1e12, 1e20, 1e300])
+    def test_saturated_tails_above_the_bound_still_return(self, s):
+        assert reg_lower_gamma(s, 1.0) == 0.0
+        assert reg_lower_gamma(s, 0.5 * s) == 0.0
+        assert reg_lower_gamma(s, 1e308) == 1.0
+
+    def test_shape_at_the_bound_is_evaluated(self):
+        s = specfun._SHAPE_MAX
+        assert math.isclose(
+            reg_lower_gamma(s, s), float(special.gammainc(s, s)), rel_tol=1e-9
+        )
