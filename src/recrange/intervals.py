@@ -39,8 +39,8 @@ from .errors import ConvergenceError, DomainError
 from .model import (
     PosteriorParams,
     posterior_coverage,
+    posterior_log_pdf,
     posterior_mode,
-    posterior_pdf,
 )
 from .specfun import _chi2_isf, _log_front, _log_tail, chi2_quantile
 
@@ -234,9 +234,6 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
             f"e^{_L_MAX:g}"
         )
     c_lo, c_hi = A / u_hi, A / u_lo
-    pdf_lo = posterior_pdf(c_lo, post)
-    pdf_hi = posterior_pdf(c_hi, post)
-    pdf_mode = posterior_pdf(posterior_mode(post), post)
     return CredibleInterval(
         lower=c_lo,
         upper=c_hi,
@@ -244,7 +241,7 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
         kind=IntervalKind.HPD_EXACT,
         diagnostics={
             "coverage_residual": residual,
-            "equal_density_residual": abs(pdf_lo - pdf_hi) / pdf_mode,
+            "equal_density_residual": _equal_density_residual(c_lo, c_hi, post),
             "outer_iterations": iterations,
         },
     )
@@ -264,15 +261,24 @@ def hpd_hpm_closed_form(post: PosteriorParams, g: float) -> CredibleInterval:
     A, apn = post.A, post.a_plus_n
     lower = (A + 2.0 * apn * g + math.sqrt(A * A + 8.0 * A * apn * g)) / (2.0 * apn)
     upper = lower + g
-    cover = posterior_coverage(lower, upper, post)
-    pdf_mode = posterior_pdf(posterior_mode(post), post)
-    residual = abs(posterior_pdf(lower, post) - posterior_pdf(upper, post)) / pdf_mode
     return CredibleInterval(
         lower=lower,
         upper=upper,
-        level=cover,
+        level=posterior_coverage(lower, upper, post),
         kind=IntervalKind.HPD_HPM,
-        diagnostics={"equal_density_residual": residual},
+        diagnostics={
+            "equal_density_residual": _equal_density_residual(lower, upper, post)
+        },
+    )
+
+
+def _equal_density_residual(c_lo: float, c_hi: float, post: PosteriorParams) -> float:
+    # |pdf(c_lo) - pdf(c_hi)| / pdf(mode), from log-density differences, so a
+    # density too large for a float still gives a residual
+    log_mode = posterior_log_pdf(posterior_mode(post), post)
+    return abs(
+        math.exp(posterior_log_pdf(c_lo, post) - log_mode)
+        - math.exp(posterior_log_pdf(c_hi, post) - log_mode)
     )
 
 

@@ -116,8 +116,15 @@ def posterior_log_pdf(delta: float, post: PosteriorParams) -> float:
 
 
 def posterior_pdf(delta: float, post: PosteriorParams) -> float:
-    """Posterior density of the scale at delta > 0; log-space evaluation."""
-    return math.exp(posterior_log_pdf(delta, post))
+    """Posterior density of the scale at delta > 0; log-space evaluation.
+
+    A density too large for a float is inf rather than an error.
+    """
+    log_pdf = posterior_log_pdf(delta, post)
+    try:
+        return math.exp(log_pdf)
+    except OverflowError:
+        return math.inf
 
 
 def posterior_coverage(c_lo: float, c_hi: float, post: PosteriorParams) -> float:

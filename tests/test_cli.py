@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from scipy import stats
 
+import recrange
 from recrange import (
     DomainError,
     ParseError,
@@ -559,3 +563,42 @@ class TestTopLevel:
         assert lines[1].split(",")[0] == "n"
         value = float(lines[2].split(",")[1])
         assert math.isclose(value, 4.31923174, rel_tol=1e-8)
+
+
+class TestExtremeInputsFinish:
+    """Each command runs in its own interpreter under a 60 s timeout, so a
+    solver that hangs again fails one test instead of stalling the suite."""
+
+    TINY = (1e-300, 3e-300, 2e-300, 5e-300)
+
+    @pytest.mark.parametrize(
+        "values, args",
+        [
+            (datasets.SAMPLE_A, ("interval", "--a", "1e300", "--b", "4")),
+            (datasets.SAMPLE_A, ("estimate", "--a", "1e300", "--b", "1e300",
+                                 "--delta-ref", "1e-300")),
+            (TINY, ("interval", "--a", "1e9", "--b", "0")),
+        ],
+        ids=["interval-huge-shape", "estimate-huge-shape", "interval-huge-density"],
+    )
+    def test_exits_cleanly_with_finite_output(self, tmp_path, values, args):
+        path = tmp_path / "series.txt"
+        path.write_text("\n".join(repr(v) for v in values) + "\n")
+        src = str(Path(recrange.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        command, *options = args
+        if command == "interval":
+            options += ["--alpha", "0.1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "recrange", command, str(path), *options,
+             "--format", "json"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode in (0, 2, 3), done.stderr
+        if done.returncode == 0:
+            for row in rows_of(done.stdout):
+                for value in row.values():
+                    assert not isinstance(value, float) or math.isfinite(value)
+        else:
+            assert done.stderr.startswith("error:")

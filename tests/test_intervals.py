@@ -190,6 +190,22 @@ class TestEqualTails:
 
 
 class TestHpdExact:
+    def test_density_beyond_the_float_range_keeps_its_residual(self):
+        # the mode density here is about 4e309; the residual is formed from
+        # log-density differences, so both constructions still report it
+        p = post(1e8, 1e-298)
+        exact = hpd_exact(p, 0.10)
+        assert exact.diagnostics["equal_density_residual"] < 1e-4
+        closed = hpd_hpm_closed_form(p, exact.length)
+        assert math.isfinite(closed.diagnostics["equal_density_residual"])
+
+    @pytest.mark.parametrize("s", [1.0000001e10, 1e15, 1e300])
+    def test_shape_above_the_bound_raises(self, s):
+        p = post(s, 4.0)
+        for kind in IntervalKind:
+            with pytest.raises(ConvergenceError, match="exceeds"):
+                interval(kind, p, 0.10)
+
     def test_frozen_endpoints(self):
         iv = hpd_exact(post(4.0, 9.319232), 0.10)
         assert math.isclose(iv.lower, HPD_10[0], rel_tol=1e-10)
@@ -339,7 +355,13 @@ class TestHpmClosedForm:
 
     @pytest.mark.parametrize(
         "s, peak",
-        [(0.01, 0.0063), (0.5, 0.0843), (2.0, 0.0976), (10.0, 0.0881), (1000.0, 0.0713)],
+        [
+            (0.01, 0.0063),
+            (0.5, 0.0843),
+            (2.0, 0.0976),
+            (10.0, 0.0881),
+            (1000.0, 0.0713),
+        ],
     )
     def test_coverage_peaks_below_a_tenth_and_depends_on_g_over_A(self, s, peak):
         # the coverage of [c(g), c(g) + g] is a function of g/A and s alone,

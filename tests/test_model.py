@@ -149,6 +149,13 @@ class TestPosteriorPdf:
         with pytest.raises(DomainError):
             posterior_pdf(delta, post_small)
 
+    def test_density_beyond_the_float_range_is_inf(self):
+        # at s = 1e8, A = 1e-298 the mode density is about 4e309
+        post = PosteriorParams(s=1e8, A=1e-298)
+        mode = posterior_mode(post)
+        assert 709.8 < posterior_log_pdf(mode, post) < 720.0
+        assert posterior_pdf(mode, post) == math.inf
+
     def test_log_and_linear_agree(self, post_small):
         for d in (0.3, 1.0, 1.86, 5.0, 40.0):
             assert math.isclose(
