@@ -574,10 +574,11 @@ class TestExtremeInputsFinish:
     @pytest.mark.parametrize(
         "values, args",
         [
-            (datasets.SAMPLE_A, ("interval", "--a", "1e300", "--b", "4")),
+            (datasets.SAMPLE_A, ("interval", "--a", "1e300", "--b", "4",
+                                 "--alpha", "0.1")),
             (datasets.SAMPLE_A, ("estimate", "--a", "1e300", "--b", "1e300",
                                  "--delta-ref", "1e-300")),
-            (TINY, ("interval", "--a", "1e9", "--b", "0")),
+            (TINY, ("interval", "--a", "1e9", "--b", "0", "--alpha", "0.1")),
         ],
         ids=["interval-huge-shape", "estimate-huge-shape", "interval-huge-density"],
     )
@@ -588,8 +589,6 @@ class TestExtremeInputsFinish:
         paths = [src, os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         command, *options = args
-        if command == "interval":
-            options += ["--alpha", "0.1"]
         done = subprocess.run(
             [sys.executable, "-m", "recrange", command, str(path), *options,
              "--format", "json"],
