@@ -22,8 +22,9 @@ gives both endpoints in closed form,
 and with u = A/delta the mass left out is M(L) = P(s, u_lo) + Q(s, u_hi),
 where u_hi = (a+n) L / (1 - e^-L) and u_lo = (a+n) L / (e^L - 1). M falls
 from 1 to 0 in L and does not involve A, so the exact solver is a single
-bracketed Newton root of M(L) = alpha (Chen & Shao 1999 discuss HPD
-computation in general).
+bracketed Halley root of M(L) = alpha, whose first two derivatives come
+from the prefactors of the two tails it already evaluates (Chen & Shao 1999
+discuss HPD computation in general).
 """
 
 from __future__ import annotations
@@ -36,13 +37,8 @@ from statistics import NormalDist
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError
-from .model import (
-    PosteriorParams,
-    posterior_coverage,
-    posterior_log_pdf,
-    posterior_mode,
-)
-from .specfun import _chi2_isf, _log_front, _log_tail, chi2_quantile
+from .model import PosteriorParams, posterior_coverage
+from .specfun import _chi2_isf, _log_tail, _max_terms, chi2_quantile
 
 __all__ = [
     "IntervalKind",
@@ -62,7 +58,7 @@ _MISSED_RTOL = 1e-10
 # largest ln(c_H / c_L) tried: A / c_H = (a+n) L e^-L / (1 - e^-L) stays a
 # normal float there, so both endpoints stay finite
 _L_MAX = 600.0
-# backstop only: bracketed Newton converges in a handful of steps
+# backstop only: bracketed Halley converges in about three steps
 _MAX_STEPS = 100
 
 _STD_NORMAL = NormalDist()
@@ -144,13 +140,18 @@ def _equal_tails_pivots(s: float, alpha: float) -> tuple[float, float, float]:
     nu = 2.0 * s
     q_lo = chi2_quantile(0.5 * alpha, nu)
     q_hi = _chi2_isf(0.5 * alpha, nu)
-    return q_lo, q_hi, alpha - _missed_mass(s, 0.5 * q_lo, 0.5 * q_hi)
+    missed = _missed_mass(s, 0.5 * q_lo, 0.5 * q_hi, _max_terms(s))[0]
+    return q_lo, q_hi, alpha - missed
 
 
-def _missed_mass(s: float, u_lo: float, u_hi: float) -> float:
-    # P(s, u_lo) + Q(s, u_hi), the posterior mass outside [A/u_hi, A/u_lo],
-    # each tail from its own sum so that a tiny alpha keeps its digits
-    return math.exp(_log_tail(s, u_lo, False)) + math.exp(_log_tail(s, u_hi, True))
+def _missed_mass(s: float, u_lo: float, u_hi: float, max_iter: int):
+    # (P(s, u_lo) + Q(s, u_hi), ln F(u_lo), ln F(u_hi)): the posterior mass
+    # outside [A/u_hi, A/u_lo], each tail from its own sum so that a tiny
+    # alpha keeps its digits, and the log prefactors F(u) = u^s e^-u / Gamma(s)
+    # of the two sums, which are d P(s, u) / d ln u
+    log_p, log_f_lo = _log_tail(s, u_lo, False, max_iter)
+    log_q, log_f_hi = _log_tail(s, u_hi, True, max_iter)
+    return math.exp(log_p) + math.exp(log_q), log_f_lo, log_f_hi
 
 
 def _equal_tails_endpoints(s: float, A, alpha: float):
@@ -177,28 +178,35 @@ def _log_ratio_guess(s: float, alpha: float) -> float:
 
 
 def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
-    """Exact HPD interval as one safeguarded Newton root in L = ln(c_H/c_L).
+    """Exact HPD interval as one safeguarded Halley root in L = ln(c_H/c_L).
 
     Equal density fixes both endpoints for each L > 0 (module docstring),
-    so only the mass left out is solved: P(s, u_lo) + Q(s, u_hi) = alpha,
-    each tail from its own incomplete-gamma sum, so a tiny alpha keeps its
-    digits. In u = A/delta the solve does not involve A at all, and the
-    endpoints are A/u_hi and A/u_lo. The derivative in L is two gamma
-    densities times closed-form du/dL. Steps that leave the sign-change
-    bracket, or do not shrink fast enough, fall back to bisection, so the
-    last-bit jitter of the incomplete gamma cannot stall the solve. It stops
-    when the missed mass is within min(1e-12, 1e-10 alpha) of alpha, or when
-    the bracket collapses, and raises ConvergenceError when alpha cannot be
-    reached with c_H / c_L up to e^600. outer_iterations counts the steps,
-    the starting guess included; each evaluates the two tails once.
+    so only the mass left out is solved: R(L) = alpha - P(s, u_lo) -
+    Q(s, u_hi) = 0, each tail from its own incomplete-gamma sum, so a tiny
+    alpha keeps its digits. In u = A/delta the solve does not involve A at
+    all, and the endpoints are A/u_hi and A/u_lo. With F = u f(u) =
+    u^s e^-u / Gamma(s), the prefactor of each tail's sum,
+    g_hi = d ln u_hi / dL = 1/L - 1/(e^L - 1), g_lo = g_hi - 1 and
+    g' = e^L / (e^L - 1)^2 - 1/L^2,
+
+        R'  = F_hi g_hi - F_lo g_lo,
+        R'' = F_hi ((s - u_hi) g_hi^2 + g') - F_lo ((s - u_lo) g_lo^2 + g'),
+
+    so a Halley step, L - 2 R R' / (2 R'^2 - R R''), costs no special-function
+    call beyond the two tails; where its denominator is not positive, or it
+    leaves the sign-change bracket, the Newton step L - R/R' is taken
+    instead. Steps that still leave the bracket, or do not halve the
+    previous step, fall back to bisection, so the last-bit jitter of the
+    incomplete gamma cannot stall the solve. It stops when the missed mass
+    is within min(1e-12, 1e-10 alpha) of alpha, or when the bracket
+    collapses, and raises ConvergenceError when alpha cannot be reached
+    with c_H / c_L up to e^600. outer_iterations counts the steps, the
+    starting guess included; each evaluates the two tails once.
     """
     _check_alpha(alpha)
     s, A, apn = post.s, post.A, post.a_plus_n
+    max_iter = _max_terms(s)
     tol = min(_MISSED_ATOL, _MISSED_RTOL * alpha)
-
-    def u_mass(u: float) -> float:
-        # u times the Gamma(s, 1) density at u, i.e. d P(s, u) / d ln u
-        return math.exp(_log_front(s, u))
 
     lo, hi = 0.0, _L_MAX  # missed mass > alpha at lo; <= alpha at hi once reached
     reached = False
@@ -210,7 +218,8 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
         one_minus = -math.expm1(-L)
         u_hi = apn * L / one_minus  # A / c_L
         u_lo = u_hi * math.exp(-L)  # A / c_H
-        residual = alpha - _missed_mass(s, u_lo, u_hi)  # coverage - (1 - alpha)
+        missed, log_f_lo, log_f_hi = _missed_mass(s, u_lo, u_hi, max_iter)
+        residual = alpha - missed  # coverage - (1 - alpha)
         if abs(residual) <= tol:
             break
         if residual < 0.0:
@@ -219,11 +228,27 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
             hi, reached = L, True
         if hi - lo <= 1e-15 * hi or iterations >= _MAX_STEPS:
             break
-        slope = u_mass(u_hi) * (1.0 / L - 1.0 / math.expm1(L)) + u_mass(u_lo) * (
-            1.0 / one_minus - 1.0 / L
+        f_lo, f_hi = math.exp(log_f_lo), math.exp(log_f_hi)
+        inv_em1 = 1.0 / math.expm1(L)
+        g_hi = 1.0 / L - inv_em1
+        g_lo = g_hi - 1.0
+        dg = inv_em1 * (1.0 + inv_em1) - 1.0 / (L * L)  # e^L/(e^L-1)^2 - 1/L^2
+        slope = f_hi * g_hi - f_lo * g_lo
+        curve = f_hi * ((s - u_hi) * g_hi * g_hi + dg) - f_lo * (
+            (s - u_lo) * g_lo * g_lo + dg
         )
-        step = L - residual / slope if slope > 0.0 else math.nan
-        if not lo < step < hi or abs(2.0 * residual) > abs(step_old * slope):
+        step = math.nan
+        if slope > 0.0:
+            # the Halley step is the Newton step over 1 - R R'' / (2 R'^2);
+            # where that is not positive, or the Halley step leaves the
+            # bracket (as it can near L = 0, where R is almost linear), the
+            # Newton step is taken
+            newton = residual / slope
+            scale = 1.0 - 0.5 * newton * curve / slope
+            step = L - newton / scale if scale > 0.0 else math.nan
+            if not lo < step < hi:
+                step = L - newton
+        if not lo < step < hi or abs(2.0 * (step - L)) > abs(step_old):
             step = 0.5 * (lo + hi)
         step_old = step - L
         L = step
@@ -233,15 +258,17 @@ def hpd_exact(post: PosteriorParams, alpha: float) -> CredibleInterval:
             f"could not reach coverage {1.0 - alpha} with c_H / c_L up to "
             f"e^{_L_MAX:g}"
         )
-    c_lo, c_hi = A / u_hi, A / u_lo
     return CredibleInterval(
-        lower=c_lo,
-        upper=c_hi,
+        lower=A / u_hi,
+        upper=A / u_lo,
         level=1.0 - alpha,
         kind=IntervalKind.HPD_EXACT,
         diagnostics={
             "coverage_residual": residual,
-            "equal_density_residual": _equal_density_residual(c_lo, c_hi, post),
+            # mode / c_L = u_hi / (a+n) and mode / c_H = u_lo / (a+n)
+            "equal_density_residual": _equal_density_residual(
+                u_hi / apn, u_lo / apn, apn
+            ),
             "outer_iterations": iterations,
         },
     )
@@ -267,19 +294,22 @@ def hpd_hpm_closed_form(post: PosteriorParams, g: float) -> CredibleInterval:
         level=posterior_coverage(lower, upper, post),
         kind=IntervalKind.HPD_HPM,
         diagnostics={
-            "equal_density_residual": _equal_density_residual(lower, upper, post)
+            "equal_density_residual": _equal_density_residual(
+                A / lower / apn, A / upper / apn, apn
+            )
         },
     )
 
 
-def _equal_density_residual(c_lo: float, c_hi: float, post: PosteriorParams) -> float:
-    # |pdf(c_lo) - pdf(c_hi)| / pdf(mode), from log-density differences, so a
-    # density too large for a float still gives a residual
-    log_mode = posterior_log_pdf(posterior_mode(post), post)
-    return abs(
-        math.exp(posterior_log_pdf(c_lo, post) - log_mode)
-        - math.exp(posterior_log_pdf(c_hi, post) - log_mode)
+def _equal_density_residual(v_lo: float, v_hi: float, apn: float) -> float:
+    # |pdf(c_L) - pdf(c_H)| / pdf(mode), with v = mode / c at each endpoint:
+    # ln(pdf(c) / pdf(mode)) = (a+n)(ln v + 1 - v) does not involve A and is
+    # never positive; a v that underflowed to 0 is a density ratio of 0
+    lo, hi = (
+        math.exp(apn * (math.log(v) + 1.0 - v)) if v > 0.0 else 0.0
+        for v in (v_lo, v_hi)
     )
+    return abs(lo - hi)
 
 
 def interval(

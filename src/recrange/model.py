@@ -104,7 +104,10 @@ def range_pdf(r: float, n: int, delta: float) -> float:
 
 
 def posterior_log_pdf(delta: float, post: PosteriorParams) -> float:
-    """Log posterior density at delta > 0."""
+    """Log posterior density at delta > 0.
+
+    Above s = 2.55e305, where ln Gamma(s) overflows, raises DomainError.
+    """
     if math.isnan(delta) or delta <= 0.0 or math.isinf(delta):
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     return (

@@ -66,11 +66,17 @@ def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 
     Thin wrapper over the platform lgamma, which is well inside a 1e-13
-    relative-error budget across [1e-6, 1e6].
+    relative-error budget across [1e-6, 1e6]. Above about 2.55e305 the value
+    exceeds the float range and DomainError is raised.
     """
     if math.isnan(x) or not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(
+            f"ln_gamma({x!r}) is beyond the float range (x above about 2.55e305)"
+        ) from None
 
 
 def reg_lower_gamma(s: float, x: float) -> float:
@@ -112,22 +118,29 @@ def _log_front(s: float, x: float) -> float:
             + 0.5 * math.log(s / (2.0 * math.pi))
             - (1.0 / 12.0 - 1.0 / (360.0 * s * s)) / s
         )
-    return s * math.log(x) - x - math.lgamma(s)
+    try:
+        return s * math.log(x) - x - math.lgamma(s)
+    except OverflowError:
+        # lgamma(s) overflows only above s = 2.55e305, where x is outside the
+        # Stirling window and the prefactor is below e^(-0.09 s): it is 0
+        return -math.inf
 
 
-def _log_tail(s: float, y: float, upper: bool) -> float:
-    # ln Q(s, y) if upper else ln P(s, y), for 0 < y < inf. The tail that the
-    # bifurcation sums (P below s + 1, Q above) comes from its own sum in log
-    # space, so it keeps its digits far below the smallest float; the other
-    # tail is log1p of minus it.
-    max_iter = _max_terms(s)
+def _log_tail(s: float, y: float, upper: bool, max_iter: int) -> tuple[float, float]:
+    # (ln Q(s, y) if upper else ln P(s, y), ln(y^s e^-y / Gamma(s))) for
+    # 0 < y < inf, with max_iter = _max_terms(s); the prefactor is returned
+    # so that a solver's slope needs no second evaluation of it. The tail
+    # that the bifurcation sums (P below s + 1, Q above) comes from its own
+    # sum in log space, so it keeps its digits far below the smallest float;
+    # the other tail is log1p of minus it.
+    log_front = _log_front(s, y)
     summed_upper = y >= s + 1.0
     if summed_upper:
-        log_sum = _log_front(s, y) + math.log(_upper_cont_frac(s, y, max_iter))
+        log_sum = log_front + math.log(_upper_cont_frac(s, y, max_iter))
     else:
-        log_sum = _log_front(s, y) + math.log(_lower_series(s, y, max_iter))
+        log_sum = log_front + math.log(_lower_series(s, y, max_iter))
     if upper == summed_upper:
-        return log_sum
+        return log_sum, log_front
     summed = math.exp(log_sum)
     if summed >= 1.0:
         # possible only for s below about 1e-15: the other tail rounds away
@@ -135,7 +148,7 @@ def _log_tail(s: float, y: float, upper: bool) -> float:
             f"the {'upper' if upper else 'lower'} incomplete-gamma tail at "
             f"s={s}, y={y} is below the rounding of 1"
         )
-    return math.log1p(-summed)
+    return math.log1p(-summed), log_front
 
 
 def _max_terms(s: float) -> int:
@@ -157,7 +170,7 @@ def _lower_series(s: float, x: float, max_iter: int) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * _SUM_RTOL:
+        if term < total * _SUM_RTOL:  # every term is positive
             return total
     raise ConvergenceError(
         f"incomplete gamma series did not converge for s={s}, x={x} "
@@ -197,6 +210,9 @@ def gen_incomplete_gamma(s: float, x_lo: float, x_hi: float) -> float:
 
     Equals Gamma(s) * (P(s, x_hi) - P(s, x_lo)). Requires 0 <= x_lo <= x_hi;
     x_hi may be +inf, in which case gen_incomplete_gamma(s, 0, inf) = Gamma(s).
+    Above s = 171.6, where Gamma(s) is beyond the float range, a result
+    beyond it is inf, and a difference of P values that rounds to 0 between
+    distinct endpoints raises DomainError: the product is then undetermined.
     """
     if math.isnan(x_lo) or math.isnan(x_hi):
         raise DomainError("gen_incomplete_gamma does not accept nan endpoints")
@@ -207,7 +223,21 @@ def gen_incomplete_gamma(s: float, x_lo: float, x_hi: float) -> float:
     diff = reg_lower_gamma(s, x_hi) - reg_lower_gamma(s, x_lo)
     if diff < 0.0:
         diff = 0.0  # rounding near equal endpoints must not go negative
-    return math.exp(math.lgamma(s)) * diff
+    try:
+        return math.exp(math.lgamma(s)) * diff
+    except OverflowError:
+        pass
+    if diff > 0.0:
+        try:
+            return math.exp(math.lgamma(s) + math.log(diff))
+        except OverflowError:
+            return math.inf
+    if x_lo == x_hi:
+        return 0.0
+    raise DomainError(
+        f"gen_incomplete_gamma({s!r}, {x_lo!r}, {x_hi!r}) is Gamma(s), beyond "
+        "the float range, times a difference of P values that rounds to 0"
+    )
 
 
 def chi2_quantile(p: float, nu: float) -> float:
@@ -253,7 +283,8 @@ def _tail_quantile(t: float, nu: float, upper: bool) -> float:
     # ln T(s, y) - ln t in y = x/2, whose slope is +-front / (y T) with
     # front = y^s e^-y / Gamma(s), inside a sign-change bracket
     s = 0.5 * nu
-    _max_terms(s)  # a shape above the bound raises here, before lgamma(s + 1)
+    # a shape above the bound raises here, before lgamma(s + 1)
+    max_iter = _max_terms(s)
     log_t = math.log(t)
 
     # start from the Wilson-Hilferty cube or, if larger, the leading-order
@@ -274,7 +305,7 @@ def _tail_quantile(t: float, nu: float, upper: bool) -> float:
 
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_ITER):
-        log_tail = _log_tail(s, y, upper)
+        log_tail, log_front = _log_tail(s, y, upper, max_iter)
         f = log_tail - log_t
         if abs(f) <= _STEP_RTOL * abs(log_t):
             return 2.0 * y
@@ -284,7 +315,7 @@ def _tail_quantile(t: float, nu: float, upper: bool) -> float:
             lo = y
         # y T / front from the logs, so neither underflows; a ratio that
         # would overflow exp() sends the step to bisection
-        ratio = log_tail - _log_front(s, y)
+        ratio = log_tail - log_front
         step = f * y * math.exp(ratio) if ratio < -_LOG_TINY else math.inf
         y_new = y + step if upper else y - step
         if abs(y_new - y) <= _STEP_RTOL * y:

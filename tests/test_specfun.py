@@ -9,10 +9,14 @@ from recrange import specfun
 from recrange import (
     ConvergenceError,
     DomainError,
+    PosteriorParams,
     RecRangeError,
     chi2_quantile,
     gen_incomplete_gamma,
     ln_gamma,
+    posterior_coverage,
+    posterior_log_pdf,
+    posterior_pdf,
     reg_lower_gamma,
 )
 
@@ -281,6 +285,43 @@ class TestShapeBound:
         assert reg_lower_gamma(s, 1.0) == 0.0
         assert reg_lower_gamma(s, 0.5 * s) == 0.0
         assert reg_lower_gamma(s, 1e308) == 1.0
+
+    # s = 1e306 is above 2.55e305, where math.lgamma(s) overflows; each call
+    # either returns its saturated value or raises a package error
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda s: reg_lower_gamma(s, 1.0), 0.0),
+            (lambda s: reg_lower_gamma(s, 1e308), 1.0),
+            (lambda s: reg_lower_gamma(s, s), ConvergenceError),
+            (lambda s: gen_incomplete_gamma(s, 0.0, 1.0), DomainError),
+            (lambda s: gen_incomplete_gamma(s, 1.0, 1.0), 0.0),
+            (lambda s: gen_incomplete_gamma(s, 0.0, math.inf), math.inf),
+            (lambda s: ln_gamma(s), DomainError),
+            (lambda s: posterior_log_pdf(1.0, PosteriorParams(s, 4.0)), DomainError),
+            (lambda s: posterior_pdf(1.0, PosteriorParams(s, 4.0)), DomainError),
+            (lambda s: posterior_coverage(1.0, 2.0, PosteriorParams(s, 4.0)), 0.0),
+            (lambda s: posterior_coverage(1e-306, 1.0, PosteriorParams(s, 4.0)), 1.0),
+            (
+                lambda s: posterior_coverage(4e-306, 5e-306, PosteriorParams(s, 4.0)),
+                ConvergenceError,
+            ),
+        ],
+        ids=[
+            "reg_lower_gamma-low", "reg_lower_gamma-high", "reg_lower_gamma-at-s",
+            "gen_incomplete_gamma-low", "gen_incomplete_gamma-empty",
+            "gen_incomplete_gamma-all", "ln_gamma",
+            "posterior_log_pdf", "posterior_pdf", "posterior_coverage-low",
+            "posterior_coverage-all", "posterior_coverage-at-mode",
+        ],
+    )
+    def test_no_overflow_error_where_lgamma_overflows(self, call, expected):
+        if isinstance(expected, type):
+            with pytest.raises(expected) as raised:
+                call(1e306)
+            assert isinstance(raised.value, RecRangeError)
+        else:
+            assert call(1e306) == expected
 
     def test_shape_at_the_bound_is_evaluated(self):
         s = specfun._SHAPE_MAX
