@@ -8,7 +8,7 @@ Three constructions on the inverted-gamma posterior (shape s, scale A):
 * a closed-form approximation that maps a target length g directly to an
   interval [c(g), c(g) + g] with
 
-      c(g) = (A + 2 (a+n) g + sqrt(A^2 + 8 A (a+n) g)) / (2 (a+n)).
+      c(g) = (A + 2 (a+n) g + sqrt(A) sqrt(A + 8 (a+n) g)) / (2 (a+n)).
 
 interval(kind, post, alpha) selects a construction by IntervalKind; its
 hpd_hpm is the closed form at g = the exact-HPD length at the same alpha.
@@ -24,7 +24,8 @@ where u_hi = (a+n) L / (1 - e^-L) and u_lo = (a+n) L / (e^L - 1). M falls
 from 1 to 0 in L and does not involve A, so the exact solver is a single
 bracketed Halley root of M(L) = alpha, whose first two derivatives come
 from the prefactors of the two tails it already evaluates (Chen & Shao 1999
-discuss HPD computation in general).
+discuss HPD computation in general). M and every level come from the one
+mass path in specfun (_missed_mass and _log_mass).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 
 from .errors import ConvergenceError, DomainError
 from .model import PosteriorParams, posterior_coverage
-from .specfun import _chi2_isf, _log_tail, _max_terms, chi2_quantile
+from .specfun import _chi2_isf, _max_terms, _missed_mass, chi2_quantile
 
 __all__ = [
     "IntervalKind",
@@ -142,16 +143,6 @@ def _equal_tails_pivots(s: float, alpha: float) -> tuple[float, float, float]:
     q_hi = _chi2_isf(0.5 * alpha, nu)
     missed = _missed_mass(s, 0.5 * q_lo, 0.5 * q_hi, _max_terms(s))[0]
     return q_lo, q_hi, alpha - missed
-
-
-def _missed_mass(s: float, u_lo: float, u_hi: float, max_iter: int):
-    # (P(s, u_lo) + Q(s, u_hi), ln F(u_lo), ln F(u_hi)): the posterior mass
-    # outside [A/u_hi, A/u_lo], each tail from its own sum so that a tiny
-    # alpha keeps its digits, and the log prefactors F(u) = u^s e^-u / Gamma(s)
-    # of the two sums, which are d P(s, u) / d ln u
-    log_p, log_f_lo = _log_tail(s, u_lo, False, max_iter)
-    log_q, log_f_hi = _log_tail(s, u_hi, True, max_iter)
-    return math.exp(log_p) + math.exp(log_q), log_f_lo, log_f_hi
 
 
 def _equal_tails_endpoints(s: float, A, alpha: float):
@@ -278,7 +269,8 @@ def hpd_hpm_closed_form(post: PosteriorParams, g: float) -> CredibleInterval:
     """Closed-form interval of prescribed length g.
 
     Returns [c(g), c(g) + g] with the quadratic-root lower endpoint given in
-    the module docstring. At g = 0 it degenerates to the posterior mode. The
+    the module docstring, A times a function of g/A, so its level depends on
+    g/A and s alone. At g = 0 it degenerates to the posterior mode. The
     level reported is the actual posterior coverage of the interval; the
     equal-density residual in the diagnostics measures how far the pair is
     from a true HPD configuration.
@@ -286,7 +278,8 @@ def hpd_hpm_closed_form(post: PosteriorParams, g: float) -> CredibleInterval:
     if math.isnan(g) or g < 0.0 or math.isinf(g):
         raise DomainError(f"length g must be finite and nonnegative, got {g!r}")
     A, apn = post.A, post.a_plus_n
-    lower = (A + 2.0 * apn * g + math.sqrt(A * A + 8.0 * A * apn * g)) / (2.0 * apn)
+    root = math.sqrt(A) * math.sqrt(A + 8.0 * apn * g)  # A^2 would under/overflow
+    lower = (A + 2.0 * apn * g + root) / (2.0 * apn)
     upper = lower + g
     return CredibleInterval(
         lower=lower,

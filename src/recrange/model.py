@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePosteriorError, DomainError, InsufficientRecordsError
 from .records import RecordSummary
-from .specfun import ln_gamma, reg_lower_gamma
+from .specfun import _log_mass, ln_gamma
 
 __all__ = [
     "PriorParams",
@@ -133,21 +133,13 @@ def posterior_pdf(delta: float, post: PosteriorParams) -> float:
 def posterior_coverage(c_lo: float, c_hi: float, post: PosteriorParams) -> float:
     """Posterior probability of the interval [c_lo, c_hi].
 
-    Substituting u = A/delta turns the integral into a difference of
-    regularized gamma values: P(s, A/c_lo) - P(s, A/c_hi). c_hi may be +inf.
+    Substituting u = A/delta turns the integral into the incomplete-gamma
+    mass P(s, A/c_lo) - P(s, A/c_hi), from specfun._log_mass. c_hi may be +inf.
     """
-    if math.isnan(c_lo) or math.isnan(c_hi):
-        raise DomainError("interval endpoints must not be nan")
-    if c_lo < 0.0 or c_hi < c_lo:
-        raise DomainError(
-            f"need 0 <= c_lo <= c_hi, got c_lo={c_lo!r}, c_hi={c_hi!r}"
-        )
-    upper = 0.0 if math.isinf(c_hi) else reg_lower_gamma(post.s, post.A / c_hi)
-    lower = 1.0 if c_lo == 0.0 else reg_lower_gamma(post.s, post.A / c_lo)
-    cover = lower - upper
-    if cover < 0.0:
-        cover = 0.0  # rounding near equal endpoints must not go negative
-    return cover
+    if not 0.0 <= c_lo <= c_hi:  # nan fails
+        raise DomainError(f"need 0 <= c_lo <= c_hi, got c_lo={c_lo!r}, c_hi={c_hi!r}")
+    u_lo, u_hi = (post.A / c if c > 0.0 else math.inf for c in (c_hi, c_lo))
+    return math.exp(_log_mass(post.s, u_lo, u_hi))
 
 
 def posterior_mode(post: PosteriorParams) -> float:

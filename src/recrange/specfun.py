@@ -3,11 +3,11 @@
 Implements the regularized lower incomplete gamma function, its generalized
 (two-endpoint, unnormalized) form, and the chi-square quantile. The
 incomplete gamma follows the classic bifurcation: power series on
-x < s + 1, continued fraction (modified Lentz) elsewhere. Both chi-square
-quantiles, lower (chi2_quantile) and upper (the private _chi2_isf), come
-from one solver: Newton steps on the log of the smaller tail, P(s, y) for
-p <= 1/2 and Q(s, y) at 1 - p otherwise, each summed from its own expansion
-in log space, from a Wilson-Hilferty start.
+x < s + 1, continued fraction (modified Lentz) elsewhere, each summed in log
+space. Every mass P(s, y_hi) - P(s, y_lo) comes from _log_mass, called once
+by reg_lower_gamma, gen_incomplete_gamma and model.posterior_coverage. Both
+chi-square quantiles, lower (chi2_quantile) and upper (_chi2_isf), come from
+one Newton solver on the log of the smaller tail, from a Wilson-Hilferty start.
 
 All routines are pure scalar functions at fixed tolerances: the sums stop at
 a relative term of 1e-14, a quantile once its log tail matches the target,
@@ -16,8 +16,8 @@ loop is capped (see the constants below). A quantile therefore keeps its
 significant digits in both tails, limited only by the rounding of its tail
 probability, down to the smallest normal float, below which it raises
 ConvergenceError. A shape s above 1e10 raises ConvergenceError wherever an
-incomplete-gamma sum would run; a tail that saturates to 0 or 1 before any
-sum still returns.
+incomplete-gamma sum would run; a mass whose tails saturate to 0 or 1 before
+any sum still returns.
 """
 
 from __future__ import annotations
@@ -82,29 +82,15 @@ def ln_gamma(x: float) -> float:
 def reg_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
 
-    Power series for x < s + 1, modified-Lentz continued fraction for the
-    complement otherwise. Nondecreasing in x, with P(s, 0) = 0 and
-    P(s, inf) = 1; x = +inf is an accepted domain endpoint.
+    The mass of [0, x] from _log_mass, the one interval-mass path.
+    Nondecreasing in x, with P(s, 0) = 0 and P(s, inf) = 1; x = +inf is an
+    accepted domain endpoint.
     """
-    if math.isnan(s) or math.isnan(x):
-        raise DomainError("reg_lower_gamma does not accept nan arguments")
-    if not math.isfinite(s) or s <= 0.0:
+    if not (math.isfinite(s) and s > 0.0):
         raise DomainError(f"shape s must be positive and finite, got {s!r}")
-    if x < 0.0:
+    if not x >= 0.0:  # nan fails
         raise DomainError(f"x must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-
-    log_front = _log_front(s, x)
-    if log_front < _LOG_TINY:
-        # the x^s e^-x / Gamma(s) prefactor underflows: saturated tail
-        return 1.0 if x > s else 0.0
-    max_iter = _max_terms(s)
-    if x < s + 1.0:
-        return math.exp(log_front) * _lower_series(s, x, max_iter)
-    return 1.0 - math.exp(log_front) * _upper_cont_frac(s, x, max_iter)
+    return math.exp(_log_mass(s, 0.0, x))
 
 
 def _log_front(s: float, x: float) -> float:
@@ -149,6 +135,40 @@ def _log_tail(s: float, y: float, upper: bool, max_iter: int) -> tuple[float, fl
             f"s={s}, y={y} is below the rounding of 1"
         )
     return math.log1p(-summed), log_front
+
+
+def _missed_mass(s: float, u_lo: float, u_hi: float, max_iter: int):
+    # (P(s, u_lo) + Q(s, u_hi), ln F(u_lo), ln F(u_hi)): the posterior mass
+    # outside [A/u_hi, A/u_lo], each tail from its own sum so that a tiny
+    # alpha keeps its digits, and the log prefactors F(u) = u^s e^-u / Gamma(s)
+    # of the two sums, which are d P(s, u) / d ln u
+    log_p, log_f_lo = _log_tail(s, u_lo, False, max_iter)
+    log_q, log_f_hi = _log_tail(s, u_hi, True, max_iter)
+    return math.exp(log_p) + math.exp(log_q), log_f_lo, log_f_hi
+
+
+def _log_mass(s: float, y_lo: float, y_hi: float) -> float:
+    # ln(P(s, y_hi) - P(s, y_lo)) for 0 <= y_lo <= y_hi <= inf: on one side of
+    # s + 1 the log-space difference of the two tails that side sums, which
+    # may both round alike; across it, 1 - P(s, y_lo) - Q(s, y_hi)
+    if y_lo == y_hi:
+        return -math.inf
+    inner = [y for y in (y_lo, y_hi) if 0.0 < y < math.inf]
+    if s > _SHAPE_MAX and all(_log_front(s, y) < _LOG_TINY for y in inner):
+        # the one skipped sum: every P(s, y) saturated to 0 or 1 above the bound
+        return 0.0 if y_lo < s < y_hi else -math.inf
+    max_iter = _max_terms(s)  # raises above the bound
+    if len(inner) < 2:  # all of the mass, P(s, y_hi) or Q(s, y_lo)
+        return _log_tail(s, inner[0], inner[0] == y_lo, max_iter)[0] if inner else 0.0
+    if y_lo < s + 1.0 <= y_hi:
+        missed = _missed_mass(s, y_lo, y_hi, max_iter)[0]
+        return math.log1p(-missed) if missed < 1.0 else -math.inf
+    if y_hi < s + 1.0:  # ln P(s, y_hi) and ln P(s, y_lo), both summed
+        big, small = (_log_tail(s, y, False, max_iter)[0] for y in (y_hi, y_lo))
+    else:  # ln Q(s, y_lo) and ln Q(s, y_hi), both summed
+        big, small = (_log_tail(s, y, True, max_iter)[0] for y in (y_lo, y_hi))
+    d = small - big  # rounding may leave the two tails out of order
+    return big + math.log(-math.expm1(d)) if d < 0.0 else -math.inf
 
 
 def _max_terms(s: float) -> int:
@@ -208,36 +228,30 @@ def _upper_cont_frac(s: float, x: float, max_iter: int) -> float:
 def gen_incomplete_gamma(s: float, x_lo: float, x_hi: float) -> float:
     """Generalized incomplete gamma: integral of t^(s-1) e^-t over [x_lo, x_hi].
 
-    Equals Gamma(s) * (P(s, x_hi) - P(s, x_lo)). Requires 0 <= x_lo <= x_hi;
-    x_hi may be +inf, in which case gen_incomplete_gamma(s, 0, inf) = Gamma(s).
-    Above s = 171.6, where Gamma(s) is beyond the float range, a result
-    beyond it is inf, and a difference of P values that rounds to 0 between
-    distinct endpoints raises DomainError: the product is then undetermined.
+    Equals exp(ln Gamma(s) + ln(P(s, x_hi) - P(s, x_lo))), the mass from
+    _log_mass, the one interval-mass path. Requires 0 <= x_lo <= x_hi; x_hi
+    may be +inf, in which case gen_incomplete_gamma(s, 0, inf) = Gamma(s). A
+    value beyond the float range is inf; where ln Gamma(s) overflows (s above
+    2.55e305) and the mass saturates to 0, DomainError is raised.
     """
-    if math.isnan(x_lo) or math.isnan(x_hi):
-        raise DomainError("gen_incomplete_gamma does not accept nan endpoints")
-    if x_lo < 0.0 or math.isinf(x_lo):
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"shape s must be positive and finite, got {s!r}")
+    if not 0.0 <= x_lo < math.inf:  # nan fails
         raise DomainError(f"x_lo must be finite and nonnegative, got {x_lo!r}")
-    if x_hi < x_lo:
+    if not x_lo <= x_hi:
         raise DomainError(f"need x_lo <= x_hi, got x_lo={x_lo!r}, x_hi={x_hi!r}")
-    diff = reg_lower_gamma(s, x_hi) - reg_lower_gamma(s, x_lo)
-    if diff < 0.0:
-        diff = 0.0  # rounding near equal endpoints must not go negative
+    log_mass = _log_mass(s, x_lo, x_hi)
     try:
-        return math.exp(math.lgamma(s)) * diff
-    except OverflowError:
-        pass
-    if diff > 0.0:
-        try:
-            return math.exp(math.lgamma(s) + math.log(diff))
-        except OverflowError:
+        return math.exp(math.lgamma(s) + log_mass)
+    except OverflowError:  # Gamma(s) or the product leaves the floats
+        if log_mass > -math.inf:
             return math.inf
-    if x_lo == x_hi:
-        return 0.0
-    raise DomainError(
-        f"gen_incomplete_gamma({s!r}, {x_lo!r}, {x_hi!r}) is Gamma(s), beyond "
-        "the float range, times a difference of P values that rounds to 0"
-    )
+        if x_lo == x_hi:
+            return 0.0
+        raise DomainError(
+            f"gen_incomplete_gamma({s!r}, {x_lo!r}, {x_hi!r}) is Gamma(s), beyond "
+            "the float range, times a mass that saturates to 0"
+        ) from None
 
 
 def chi2_quantile(p: float, nu: float) -> float:

@@ -20,6 +20,8 @@ from recrange import (
 )
 from recrange.cli import (
     RunManifest,
+    entrypoint,
+    main,
     parse_alpha_list,
     parse_estimators,
     parse_n_spec,
@@ -551,6 +553,26 @@ class TestTopLevel:
     def test_no_command_exits_2(self, invoke):
         code, _, _ = invoke()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--version"], 0),
+            (["reproduce", "--table", "1", "--format", "csv"], 0),
+            ([], 2),
+            (["estimate", "{sample}", "--a", "3", "--b", "5", "--n", "10"], 3),
+        ],
+    )
+    def test_entrypoint_exits_with_the_code_of_main(
+        self, monkeypatch, capsys, sample_a_file, argv, code
+    ):
+        # the console script of pyproject.toml runs entrypoint() on sys.argv
+        argv = [arg.format(sample=sample_a_file) for arg in argv]
+        monkeypatch.setattr(sys, "argv", ["recrange", *argv])
+        with pytest.raises(SystemExit) as exited:
+            entrypoint()
+        assert exited.value.code == code
+        assert exited.value.code == main(argv)
 
     def test_csv_format_uses_full_precision(self, invoke, sample_a_file):
         code, out, _ = invoke(

@@ -401,6 +401,15 @@ class TestHpmClosedForm:
         for a, b in zip(unit, scaled):
             assert abs(a - b) <= 1e-13
 
+    @pytest.mark.parametrize("A", [1e-298, 1e-160, 1.0, 1e200, 1e300])
+    def test_scale_free_across_the_float_range(self, A):
+        # c(g) is A times a function of g/A, so the root must not square A:
+        # A^2 leaves the floats outside about [1e-154, 1.3e154]
+        unit = interval(IntervalKind.HPD_HPM, post(8.0, 1.0), 0.1)
+        iv = interval(IntervalKind.HPD_HPM, post(8.0, A), 0.1)
+        assert math.isclose(iv.lower / A, unit.lower, rel_tol=1e-12)
+        assert math.isclose(iv.level, unit.level, rel_tol=1e-12)
+
 
 class TestIntervalDispatch:
     def test_each_kind_is_its_construction(self, post_small):

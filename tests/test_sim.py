@@ -21,6 +21,7 @@ from recrange import (
     IntervalKind,
     IntervalRow,
     PointRow,
+    PosteriorParams,
     PriorParams,
     SimConfig,
     SimResult,
@@ -232,6 +233,33 @@ class TestIntervalSim:
         )
         for row in rows.values():
             assert 0.0 <= row.empirical_coverage <= 1.0
+
+    def test_columns_match_the_analytic_oracle(self):
+        # With delta ~ InvGamma(a, b) and r | delta ~ Gamma(n - 1, delta),
+        # every kind's length is A = b + r times its length at A = 1, so the
+        # mean length estimates E[A] = b + (n - 1) b / (a - 1) times that unit
+        # length, with Var A = (n - 1) E[delta^2] + (n - 1)^2 Var delta, finite
+        # for a > 2. An interval covers its posterior mass in expectation:
+        # 1 - alpha for equal tails and the exact HPD, and for hpd_hpm, the
+        # closed form at A times the unit HPD length, its level at A = 1.
+        # Both columns are checked at 5 standard errors.
+        a, b, reps = 3.0, 4.0, 4_000
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(3, 6), reps=reps, seed=43,
+            prior=PriorParams(a=a, b=b), alpha_list=(0.05, 0.5),
+            interval_kinds=tuple(IntervalKind),
+        )
+        e_delta2 = b * b / ((a - 1.0) * (a - 2.0))
+        var_delta = e_delta2 / (a - 1.0)
+        for row in run_interval_sim(cfg).interval_rows:
+            k = row.n - 1.0
+            mean_a = b + k * b / (a - 1.0)
+            sd_a = math.sqrt(k * e_delta2 + k * k * var_delta)
+            unit = interval(row.kind, PosteriorParams(s=a + k, A=1.0), row.alpha)
+            se_length = sd_a * unit.length / math.sqrt(reps)
+            assert abs(row.mean_length - mean_a * unit.length) < 5.0 * se_length, row
+            se_cover = math.sqrt(unit.level * (1.0 - unit.level) / reps)
+            assert abs(row.empirical_coverage - unit.level) < 5.0 * se_cover, row
 
     def test_parallel_determinism(self):
         cfg = dict(

@@ -28,6 +28,14 @@ GSTAR_4_05_3 = 2.1060989319688677  # quad of t^3 e^-t over [0.5, 3.0]
 CHI2_95_8 = 15.50731305586545
 CHI2_50_8 = 7.344121497701794
 
+# Masses whose P values round or underflow alike, from mpmath 1.3
+# (mp.dps = 40): gammainc(s, x_lo, x_hi), and for the coverage
+# gammainc(5, 4.0/0.03, 4.0/0.02, regularized=True) at those float quotients.
+GSTAR_1715_0_1 = 0.002157576899697869711878915552744608503905
+GSTAR_6_70_71 = 4.351859828544068112190125456558950684397e-22
+GSTAR_300_1_2 = 9.250894402921854842597997111586120101824e86
+COVERAGE_002_003_5_4 = 1.685539073336813535293447325451459762914e-51
+
 # tail probabilities from 1e-300 to 1 - 1e-8, for the quantile grid
 GRID_P = [
     1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-20, 1e-15, 1e-12, 1e-10, 1e-8,
@@ -141,8 +149,27 @@ class TestGenIncompleteGamma:
         split = gen_incomplete_gamma(s, a, b) + gen_incomplete_gamma(s, b, c)
         assert abs(whole - split) < 1e-10
 
-    def test_nonnegative(self):
-        assert gen_incomplete_gamma(6.0, 70.0, 71.0) >= 0.0
+    def test_mass_between_rounded_tails(self):
+        # both P values round to 1; the mass comes from the upper tails' logs
+        assert math.isclose(
+            gen_incomplete_gamma(6.0, 70.0, 71.0), GSTAR_6_70_71, rel_tol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "s, x_lo, x_hi, want",
+        [(171.5, 0.0, 1.0, GSTAR_1715_0_1), (300.0, 1.0, 2.0, GSTAR_300_1_2)],
+    )
+    def test_mass_below_the_float_range_times_a_large_gamma(self, s, x_lo, x_hi, want):
+        # P(171.5, 1) sits at the underflow of its prefactor; at s = 300 both
+        # P values are below 1e-700 while Gamma(300) is above 1e600
+        assert math.isclose(gen_incomplete_gamma(s, x_lo, x_hi), want, rel_tol=1e-12)
+
+
+class TestPosteriorCoverageDigits:
+    def test_coverage_far_below_one(self):
+        # both P values round to 1 here, so their difference would be 0
+        cover = posterior_coverage(0.02, 0.03, PosteriorParams(5.0, 4.0))
+        assert math.isclose(cover, COVERAGE_002_003_5_4, rel_tol=1e-12)
 
 
 class TestChi2Quantile:
