@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriorParams:
     """Inverted-gamma prior on the exponential scale: shape a, scale b.
 
@@ -51,7 +51,7 @@ class PriorParams:
             raise DomainError(f"prior scale b must be nonnegative, got {self.b!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosteriorParams:
     """Inverted-gamma posterior: shape s = a + n - 1, scale A = b + r.
 

@@ -30,7 +30,7 @@ __all__ = [
 _STREAM_CHUNK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordSummary:
     """Upper record values with their 1-based occurrence indices.
 

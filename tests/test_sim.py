@@ -73,6 +73,37 @@ class TestSeedDerivation:
         assert a != b
 
 
+class TestBlockStreams:
+    """A block's generator states against the ones derive_rep_seed defines."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]  # last: 5 words
+    )
+    @pytest.mark.parametrize("n", [2, 2**32 + 3])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 3), (5, 9), (2**32 - 2, 2**32 + 1), (2**64 - 3, 2**64)],
+    )
+    def test_states_match_default_rng(self, seed, n, lo, hi):
+        want = []
+        for rep in range(lo, hi):
+            rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
+            state = rng.bit_generator.state["state"]
+            want.append((state["state"], state["inc"]))
+        assert sim._rep_states(seed, n, lo, hi) == want
+
+    def test_wide_seed_study_matches_the_reference_loop(self):
+        cfg = SimConfig(
+            delta_true=1.5, n_records=(2, 5), reps=6, seed=2**128 + 1, prior=PRIOR,
+            workers=2,
+        )
+        got = [
+            (r.estimator_id, r.n, r.average_estimate, r.empirical_mse)
+            for r in run_point_sim(cfg).point_rows
+        ]
+        assert got == _reference_point_rows(cfg)
+
+
 class TestSimConfig:
     def test_scalar_n_normalized(self):
         cfg = SimConfig(delta_true=1.0, n_records=4, reps=3, seed=0, prior=PRIOR)
@@ -620,8 +651,16 @@ class TestResultRows:
 
     def test_rows_are_slotted(self, results):
         point, interval, table = results
-        rows = (point, point.point_rows[0], interval.interval_rows[0], table[0])
-        for row, cls in zip(rows, (SimResult, PointRow, IntervalRow, TableRow)):
+        summary = sample_records_direct(1.0, 3, 0)
+        rows = (
+            point, point.point_rows[0], interval.interval_rows[0], table[0],
+            point.config, point.config.prior, PosteriorParams(s=4.0, A=2.0), summary,
+        )
+        classes = (
+            SimResult, PointRow, IntervalRow, TableRow,
+            SimConfig, PriorParams, PosteriorParams, type(summary),
+        )
+        for row, cls in zip(rows, classes, strict=True):
             assert type(row) is cls
             assert not hasattr(row, "__dict__")
 
@@ -633,6 +672,20 @@ class TestResultRows:
         assert row == dataclasses.replace(row)
         assert row != dataclasses.replace(row, alpha=0.2)
         assert pickle.loads(pickle.dumps(point)) == point
+        config = point.config
+        summary = sample_records_direct(1.0, 3, 0)
+        changes = (
+            (config, {"reps": 6}),
+            (config.prior, {"b": 6.0}),
+            (PosteriorParams(s=4.0, A=2.0), {"A": 3.0}),
+            (summary, {"times_synthetic": False}),
+        )
+        for obj, change in changes:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, *next(iter(change.items())))
+            assert obj == dataclasses.replace(obj)
+            assert obj != dataclasses.replace(obj, **change)
+            assert pickle.loads(pickle.dumps(obj)) == obj
 
 
 class TestReproduceTable1:
