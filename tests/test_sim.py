@@ -23,6 +23,7 @@ from recrange import (
     PointRow,
     PosteriorParams,
     PriorParams,
+    RecordSummary,
     SimConfig,
     SimResult,
     TableRow,
@@ -651,14 +652,14 @@ class TestResultRows:
 
     def test_rows_are_slotted(self, results):
         point, interval, table = results
-        summary = sample_records_direct(1.0, 3, 0)
         rows = (
             point, point.point_rows[0], interval.interval_rows[0], table[0],
-            point.config, point.config.prior, PosteriorParams(s=4.0, A=2.0), summary,
+            point.config, point.config.prior, PosteriorParams(s=4.0, A=2.0),
+            sample_records_direct(1.0, 3, 0),
         )
         classes = (
             SimResult, PointRow, IntervalRow, TableRow,
-            SimConfig, PriorParams, PosteriorParams, type(summary),
+            SimConfig, PriorParams, PosteriorParams, RecordSummary,
         )
         for row, cls in zip(rows, classes, strict=True):
             assert type(row) is cls
@@ -672,19 +673,17 @@ class TestResultRows:
         assert row == dataclasses.replace(row)
         assert row != dataclasses.replace(row, alpha=0.2)
         assert pickle.loads(pickle.dumps(point)) == point
-        config = point.config
-        summary = sample_records_direct(1.0, 3, 0)
         changes = (
-            (config, {"reps": 6}),
-            (config.prior, {"b": 6.0}),
-            (PosteriorParams(s=4.0, A=2.0), {"A": 3.0}),
-            (summary, {"times_synthetic": False}),
+            (point.config, "reps", 6),
+            (point.config.prior, "b", 6.0),
+            (PosteriorParams(s=4.0, A=2.0), "A", 3.0),
+            (sample_records_direct(1.0, 3, 0), "times_synthetic", False),
         )
-        for obj, change in changes:
+        for obj, field, value in changes:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, *next(iter(change.items())))
+                setattr(obj, field, value)
             assert obj == dataclasses.replace(obj)
-            assert obj != dataclasses.replace(obj, **change)
+            assert obj != dataclasses.replace(obj, **{field: value})
             assert pickle.loads(pickle.dumps(obj)) == obj
 
 
