@@ -133,7 +133,9 @@ def _as_generator(seed) -> np.random.Generator:
 
 def _direct_values(delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # the direct sampler's draw, unchecked: n record values as the running
-    # sum of n Exp(delta) gaps; sim's blocks take it once per repetition
+    # sum of n Exp(delta) gaps; sim's blocks draw the same gaps unscaled into
+    # the rows of a matrix and scale and sum them a matrix at a time, bit for
+    # bit alike
     return rng.exponential(scale=delta, size=n).cumsum()
 
 

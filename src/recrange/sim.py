@@ -4,14 +4,16 @@ Every repetition gets its own generator, derived from the master seed by a
 counter-keyed split (numpy SeedSequence spawn keys, derive_rep_seed), so
 results are bit-identical no matter how repetitions are scheduled. Runs
 carve the repetition index range into contiguous blocks, one per worker
-process. A block derives the generator states of all its repetitions in
-one pass, by the arithmetic of SeedSequence and PCG64 seeding, so each
-repetition still draws from exactly derive_rep_seed's stream; it keeps
-only the sufficient statistics (scale, last record, range). Every equal-tails
-interval and every record rule, one (statistic, divisor) entry of the
-estimators' table, depends on nothing else, so each is then evaluated once
-per block on those arrays. The HPD kinds are still solved one repetition at
-a time. Blocks are reduced strictly in index order.
+process. A block derives the generator states of its repetitions in one
+pass, by the arithmetic of SeedSequence and PCG64 seeding, so each
+repetition still draws from exactly derive_rep_seed's stream. A repetition
+costs one state load and one row of draws into a bounded matrix; the block
+scales and sums that matrix's rows at once and keeps only the sufficient
+statistics (scale, last record, range). Every equal-tails interval and
+every record rule, one (statistic, divisor) entry of the estimators' table,
+depends on nothing else, so each is then evaluated once per block on those
+arrays. The HPD kinds are still solved one repetition at a time. Blocks
+are reduced strictly in index order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .intervals import (
     _intervals,
 )
 from .model import PosteriorParams, PriorParams, posterior_from
-from .records import _direct_values, extract_upper_records, truncate
+from .records import extract_upper_records, truncate
 
 __all__ = [
     "SimConfig",
@@ -285,6 +286,17 @@ def _chunks(reps: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
+# a block draws its record gaps into a matrix of at most _BUFFER_ROWS rows
+# and _BUFFER_VALUES values (but at least one row), then scales and sums it
+_BUFFER_ROWS, _BUFFER_VALUES = 1024, 1 << 16
+
+
+def _draw_gaps(rng: np.random.Generator, out: np.ndarray) -> None:
+    # one repetition's n record gaps, unscaled, into its row of the block:
+    # the draws of rng.exponential(delta, n), which is delta times them
+    rng.standard_exponential(out=out)
+
+
 def _sample_block(
     n: int,
     seed: int,
@@ -298,21 +310,27 @@ def _sample_block(
     Repetition rep draws from exactly the stream of
     default_rng(derive_rep_seed(seed, rep, n)): its scale from the
     inverted-gamma prior (a, b) when delta is None, then its n record
-    values, exactly as sample_records_direct draws them. The block derives
-    all of those generator states in one pass (_rep_states) and loads each
-    into one generator in turn.
+    gaps. Per repetition the block loads one generator state, which
+    _rep_states derives for a range of repetitions in one pass, and draws
+    the gaps into that repetition's row of a matrix; it then scales and sums
+    all rows at once, which gives sample_records_direct's values bit for bit.
+    The matrix is bounded (_BUFFER_ROWS, _BUFFER_VALUES), whatever the block's
+    size, and the block fills it once per range of that many repetitions.
     """
     k = hi - lo
-    deltas, firsts, lasts = np.empty(k), np.empty(k), np.empty(k)
-    if prior is not None:
+    deltas, lasts, ranges = np.empty(k), np.empty(k), np.empty(k)
+    if prior is None:
+        deltas.fill(delta)
+    else:
         a, scale = prior[0], 1.0 / prior[1]
+    rows = min(k, _BUFFER_ROWS, max(1, _BUFFER_VALUES // n))
+    gaps = np.empty((rows, n))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    # overflowing draws are left to _check_block, which names their source;
-    # silenced as warnings, since an errstate block slows each numpy call in it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for i, (state, inc) in enumerate(_rep_states(seed, n, lo, hi)):
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        values, scales = gaps[: stop - start], deltas[start:stop]
+        for i, (state, inc) in enumerate(_rep_states(seed, n, lo + start, lo + stop)):
             # a fresh PCG64 holds no buffered half word
             bit_generator.state = {
                 "bit_generator": "PCG64",
@@ -322,12 +340,14 @@ def _sample_block(
             }
             if prior is not None:
                 g = rng.gamma(shape=a, scale=scale)  # may underflow to 0
-                delta = 1.0 / g if g > 0.0 else math.inf
-            values = _direct_values(delta, n, rng)
-            deltas[i] = delta
-            firsts[i] = values[0]
-            lasts[i] = values[-1]
-        ranges = lasts - firsts
+                scales[i] = 1.0 / g if g > 0.0 else math.inf
+            _draw_gaps(rng, values[i])
+        # overflowing draws are left to _check_block, which names their source
+        with np.errstate(over="ignore", invalid="ignore"):
+            values *= scales[:, None]
+            np.cumsum(values, axis=1, out=values)  # a running sum, row by row
+            lasts[start:stop] = values[:, -1]
+            np.subtract(values[:, -1], values[:, 0], out=ranges[start:stop])
     _check_block(n, deltas, lasts, ranges, prior)
     return deltas, lasts, ranges
 

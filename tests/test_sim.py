@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import types
 from concurrent.futures import Future
 from pathlib import Path
@@ -524,7 +525,11 @@ class TestBlockPath:
         assert len(calls) == 5 * 2
 
     def test_zero_range_raises_the_range_rule_error(self, monkeypatch):
-        monkeypatch.setattr(sim, "_direct_values", lambda delta, n, rng: np.ones(n))
+        def first_gap_only(rng, out):
+            out.fill(0.0)
+            out[0] = 1.0
+
+        monkeypatch.setattr(sim, "_draw_gaps", first_gap_only)
         cfg = SimConfig(
             delta_true=1.0, n_records=(3,), reps=4, seed=0, prior=PRIOR,
             estimators=(EstimatorId.BAYES_QUADRATIC,),
@@ -537,6 +542,39 @@ class TestBlockPath:
         with pytest.raises(DomainError) as got:
             run_interval_sim(dataclasses.replace(cfg, alpha_list=(0.1,)))
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("prior", [None, (3.0, 4.0)], ids=["point", "interval"])
+    @pytest.mark.parametrize("n", [2, 8, 9, 17, 129])
+    def test_block_draws_are_the_direct_samplers(self, n, prior):
+        # one below, at and above a multiple of the buffer's rows, from lo > 0
+        # too; the values are running sums (numpy's pairwise sum differs from
+        # n = 8 up), so the last record and range match the sampler's exactly
+        rows = min(sim._BUFFER_ROWS, sim._BUFFER_VALUES // n)
+        delta = 1.3 if prior is None else None
+        for lo, hi in [(0, rows - 1), (3, 3 + rows), (rows + 7, 3 * rows + 8)]:
+            want = []
+            for rep in range(lo, hi):
+                rng = np.random.default_rng(derive_rep_seed(11, rep, n))
+                scale = delta or 1.0 / rng.gamma(3.0, 1.0 / 4.0)
+                values = sample_records_direct(scale, n, rng).values
+                want.append((scale, values[-1], values[-1] - values[0]))
+            got = sim._sample_block(n, 11, lo, hi, delta, prior)
+            assert list(zip(*(a.tolist() for a in got))) == want
+
+    def test_block_memory_does_not_grow_with_its_repetitions(self, monkeypatch):
+        # the traced peak of a block of many buffers stays below twice its
+        # three output arrays: neither the gaps nor the generator states are
+        # held for the whole block at once (small buffers keep the traced run
+        # short; at the default ones a 200k-repetition block holds the bound)
+        sim._sample_block(8, 1, 0, 3, 1.3)  # numpy's one-time allocations
+        monkeypatch.setattr(sim, "_BUFFER_ROWS", 64)
+        tracemalloc.start()
+        try:
+            got = sim._sample_block(8, 1, 0, 5000, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(a.nbytes for a in got)
 
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_block_estimates_are_the_printed_formulas(self, n):
