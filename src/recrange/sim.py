@@ -1,19 +1,18 @@
 """Seeded Monte Carlo experiments over the record-range model.
 
-Every repetition gets its own generator, derived from the master seed by a
-counter-keyed split (numpy SeedSequence spawn keys, derive_rep_seed), so
-results are bit-identical no matter how repetitions are scheduled. Runs
-carve the repetition index range into contiguous blocks, one per worker
-process. A block derives the generator states of its repetitions in one
-pass, by the arithmetic of SeedSequence and PCG64 seeding, so each
-repetition still draws from exactly derive_rep_seed's stream. A repetition
-costs one state load and one row of draws into a bounded matrix; the block
-scales and sums that matrix's rows at once and keeps only the sufficient
-statistics (scale, last record, range). Every equal-tails interval and
-every record rule, one (statistic, divisor) entry of the estimators' table,
-depends on nothing else, so each is then evaluated once per block on those
-arrays. The HPD kinds are still solved one repetition at a time. Blocks
-are reduced strictly in index order.
+Every repetition draws from its own Philox counter stream (derive_rep_seed):
+one key per (master seed, record count), and the repetition's index as the
+top word of the counter. So results are bit-identical no matter how
+repetitions are scheduled. Runs carve the repetition index range into
+contiguous blocks, one per worker process. A block keeps one generator and
+moves its counter to each repetition in turn; a repetition costs one state
+load and one row of draws into a bounded matrix. The block scales and sums
+that matrix's rows at once and keeps only the sufficient statistics (scale,
+last record, range). Every equal-tails interval and every record rule, one
+(statistic, divisor) entry of the estimators' table, depends on nothing
+else, so each is then evaluated once per block on those arrays. The HPD
+kinds are still solved one repetition at a time. Blocks are reduced
+strictly in index order.
 """
 
 from __future__ import annotations
@@ -68,108 +67,25 @@ _TABLE1_ESTIMATORS = (
 _cell_moments = functools.lru_cache(maxsize=256)(analytic_moments)
 
 
-def derive_rep_seed(seed: int, rep: int, stream: int = 0) -> np.random.SeedSequence:
-    """Counter-keyed substream for one repetition.
+def derive_rep_seed(seed: int, rep: int, stream: int = 0) -> np.random.Philox:
+    """Counter-keyed substream for one repetition, as a Philox bit generator.
 
-    Distinct (stream, rep) pairs give statistically independent generators;
-    the derivation is pure arithmetic on the key, so any subset of
-    repetitions can be produced in any order or process. This is the
-    definition of every study's streams: the blocks derive the generator
-    states of default_rng on it for a whole range of rep at once
-    (_rep_states), bit for bit.
+    The key is SeedSequence(seed, spawn_key=(stream,)).generate_state(2,
+    np.uint64), one per (seed, stream); rep is the top word of Philox's
+    256-bit counter, [0, 0, 0, rep], so each repetition owns 2**192 blocks
+    of four output words that no other repetition of the stream reaches
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+    Any subset of repetitions can be produced in any order or process, and
+    default_rng(derive_rep_seed(seed, rep, n)) defines the stream of every
+    study's repetition rep at record count n.
     """
-    return np.random.SeedSequence(seed, spawn_key=(stream, rep))
-
-
-# numpy's SeedSequence hash (NEP 19) and PCG64 seeding (O'Neill 2014, "PCG")
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_MIX_A = (0x43B0D7E5, 0x931E8875)  # first hash constant, multiplier: pool mix
-_OUT_B = (0x8B51F9DD, 0x58F38DED)  # ... and generate_state
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(x: int) -> list[int]:
-    # x as SeedSequence takes an int: little-endian uint32 words, at least one
-    return [(x >> k) & _MASK32 for k in range(0, max(x.bit_length(), 1), 32)]
-
-
-def _consts(h: int, mult: int, count: int) -> tuple[np.ndarray, int]:
-    # count successive hash constants from h as a uint64 column, and the next
-    hs = []
-    for _ in range(count):
-        hs.append(h)
-        h = (h * mult) & _MASK32
-    return np.array(hs, dtype=np.uint64)[:, None], h
-
-
-# The hashes take Python ints or uint64 arrays of uint32 values, and every
-# other operand is a uint64 array or a nonnegative Python int below 2**64,
-# so an array stays uint64 under numpy 1.24's value-based promotion and
-# numpy 2's NEP 50 alike. A product of two uint32 values fits in 64 bits,
-# and a difference that wraps there keeps the right low 32 bits.
-def _hashmix(value, h, mult: int):
-    # SeedSequence's hashmix at hash constant h; also returns the next one
-    h_next = (h * mult) & _MASK32
-    value = ((value ^ h) * h_next) & _MASK32
-    return value ^ (value >> 16), h_next
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ (value >> 16)
-
-
-_OUT_H = _consts(*_OUT_B, 8)[0]  # generate_state's, alike for every key
-
-
-def _rep_states(seed: int, stream: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng(derive_rep_seed(seed, rep, stream)).
-
-    One pair per rep in lo..hi-1. SeedSequence hashes the words of seed
-    (padded to its 4-word pool), then those of stream, then those of rep
-    into the pool, and PCG64 seeds itself from 8 words generated from it.
-    All up to rep's words is alike for every rep and is mixed once, in
-    Python ints. The rest runs on (pool word, rep) arrays, one pass per run
-    of reps with the same word count, and PCG64's two seeding steps in
-    Python ints mod 2**128.
-    """
-    entropy = _words(seed)
-    entropy += [0] * (4 - len(entropy))
-    h, mult = _MIX_A
-    pool = []
-    for word in entropy[:4]:
-        word, h = _hashmix(word, h, mult)
-        pool.append(word)
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                word, h = _hashmix(pool[i_src], h, mult)
-                pool[i_dst] = _mix(pool[i_dst], word)
-    for word in entropy[4:] + _words(stream):
-        for i_dst in range(4):
-            hashed, h = _hashmix(word, h, mult)
-            pool[i_dst] = _mix(pool[i_dst], hashed)
-    pool = np.array(pool, dtype=np.uint64)[:, None]
-    states = []
-    while lo < hi:
-        # the reps of one word count; a block holds no rep of 2**64 or more
-        width = len(_words(lo))
-        stop = min(hi, 1 << 32 * width)
-        reps = lo + np.arange(stop - lo, dtype=np.uint64)
-        mixed, h_rep = pool, h
-        for word in (reps & _MASK32, reps >> 32)[:width]:
-            hs, h_rep = _consts(h_rep, mult, 4)
-            mixed = _mix(mixed, _hashmix(word, hs, mult)[0])
-        out = _hashmix(mixed[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_H, _OUT_B[1])[0]
-        # generate_state(4, uint64): PCG64's 128-bit seed, then its stream
-        halves = (out[0::2] | out[1::2] << 32).tolist()
-        for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            states.append((state, inc))
-        lo = stop
-    return states
+    for name, value in (("seed", seed), ("stream", stream)):
+        if value < 0:
+            raise DomainError(f"{name} must be nonnegative, got {value!r}")
+    if not 0 <= rep < 2**64:
+        raise DomainError(f"rep must be in [0, 2**64), got {rep!r}")
+    key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
+    return np.random.Philox(key=key, counter=np.array([0, 0, 0, rep], dtype=np.uint64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,8 +129,9 @@ class SimConfig:
         if any(n < 2 for n in ns):
             raise DomainError(f"every record count must be >= 2, got {ns!r}")
         object.__setattr__(self, "n_records", ns)
-        if self.reps < 1:
-            raise DomainError(f"reps must be positive, got {self.reps!r}")
+        if not 1 <= self.reps < 2**64:
+            # a repetition's index is one 64-bit word of its stream's counter
+            raise DomainError(f"reps must be in [1, 2**64), got {self.reps!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
@@ -310,12 +227,13 @@ def _sample_block(
     Repetition rep draws from exactly the stream of
     default_rng(derive_rep_seed(seed, rep, n)): its scale from the
     inverted-gamma prior (a, b) when delta is None, then its n record
-    gaps. Per repetition the block loads one generator state, which
-    _rep_states derives for a range of repetitions in one pass, and draws
-    the gaps into that repetition's row of a matrix; it then scales and sums
-    all rows at once, which gives sample_records_direct's values bit for bit.
-    The matrix is bounded (_BUFFER_ROWS, _BUFFER_VALUES), whatever the block's
-    size, and the block fills it once per range of that many repetitions.
+    gaps. The block keeps one Philox of that key and, per repetition, writes
+    rep into the counter of its saved state and loads the state back, then
+    draws the gaps into that repetition's row of a matrix; it then scales
+    and sums all rows at once, which gives sample_records_direct's values
+    bit for bit. The matrix is bounded (_BUFFER_ROWS, _BUFFER_VALUES),
+    whatever the block's size, and the block fills it once per range of that
+    many repetitions.
     """
     k = hi - lo
     deltas, lasts, ranges = np.empty(k), np.empty(k), np.empty(k)
@@ -325,19 +243,16 @@ def _sample_block(
         a, scale = prior[0], 1.0 / prior[1]
     rows = min(k, _BUFFER_ROWS, max(1, _BUFFER_VALUES // n))
     gaps = np.empty((rows, n))
-    bit_generator = np.random.PCG64(0)
+    bit_generator = derive_rep_seed(seed, lo, n)
     rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # fresh: no buffered output or half word
+    counter = state["state"]["counter"]
     for start in range(0, k, rows):
         stop = min(start + rows, k)
         values, scales = gaps[: stop - start], deltas[start:stop]
-        for i, (state, inc) in enumerate(_rep_states(seed, n, lo + start, lo + stop)):
-            # a fresh PCG64 holds no buffered half word
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        for i, rep in enumerate(range(lo + start, lo + stop)):
+            counter[3] = rep
+            bit_generator.state = state
             if prior is not None:
                 g = rng.gamma(shape=a, scale=scale)  # may underflow to 0
                 scales[i] = 1.0 / g if g > 0.0 else math.inf

@@ -437,6 +437,15 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_reps_beyond_the_counter_exit_2(self, invoke, tmp_path):
+        # a repetition's index is one 64-bit word of its stream's counter
+        code, _, err = invoke(
+            "simulate", "--a", "3", "--b", "5", "--n", "3",
+            "--reps", str(2**64), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "reps must be in [1, 2**64)" in err
+
     def test_interval_mode(self, invoke, tmp_path):
         code, _, _ = invoke(
             "simulate", "--mode", "interval", "--a", "3", "--b", "4", "--n", "3",

@@ -74,29 +74,37 @@ class TestSeedDerivation:
         b = np.random.default_rng(derive_rep_seed(5, 0, 7)).random()
         assert a != b
 
-
-class TestBlockStreams:
-    """A block's generator states against the ones derive_rep_seed defines."""
+    def test_rep_is_the_top_counter_word_of_the_stream_key(self):
+        # every bit of rep survives, up to the last counter value
+        key = np.random.SeedSequence(5, spawn_key=(4,)).generate_state(2, np.uint64)
+        for rep in (0, 9, 2**63 + 1, 2**64 - 1):
+            bits = derive_rep_seed(5, rep, 4)
+            assert isinstance(bits, np.random.Philox)
+            state = bits.state["state"]
+            assert state["counter"].tolist() == [0, 0, 0, rep]
+            assert state["key"].tolist() == key.tolist()
 
     @pytest.mark.parametrize(
-        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]  # last: 5 words
+        "seed, rep, stream",
+        [(-1, 0, 0), (0, 0, -1), (0, -1, 0), (0, 2**64, 0), (0, 2**70, 3)],
     )
-    @pytest.mark.parametrize("n", [2, 2**32 + 3])
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [(0, 3), (5, 9), (2**32 - 2, 2**32 + 1), (2**64 - 3, 2**64)],
-    )
-    def test_states_match_default_rng(self, seed, n, lo, hi):
-        want = []
-        for rep in range(lo, hi):
-            rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
-            state = rng.bit_generator.state["state"]
-            want.append((state["state"], state["inc"]))
-        assert sim._rep_states(seed, n, lo, hi) == want
+    def test_rejects_inputs_outside_the_key_and_counter(self, seed, rep, stream):
+        with pytest.raises(DomainError):
+            derive_rep_seed(seed, rep, stream)
 
-    def test_wide_seed_study_matches_the_reference_loop(self):
+    @pytest.mark.parametrize("prior", [None, (3.0, 4.0)], ids=["point", "interval"])
+    def test_block_at_the_last_counters_is_derive_rep_seeds(self, prior):
+        delta = 1.3 if prior is None else None
+        lo, hi = 2**64 - 2, 2**64
+        got = sim._sample_block(5, 11, lo, hi, delta, prior)
+        assert list(zip(*(a.tolist() for a in got))) == _direct_block(
+            5, 11, lo, hi, delta, prior
+        )
+
+    @pytest.mark.parametrize("seed", [7, 2**32 + 5, 2**128 + 1])  # 1, 2, 5 words
+    def test_wide_seed_study_matches_the_reference_loop(self, seed):
         cfg = SimConfig(
-            delta_true=1.5, n_records=(2, 5), reps=6, seed=2**128 + 1, prior=PRIOR,
+            delta_true=1.5, n_records=(2, 5), reps=6, seed=seed, prior=PRIOR,
             workers=2,
         )
         got = [
@@ -118,6 +126,8 @@ class TestSimConfig:
             SimConfig(delta_true=1.0, n_records=1, reps=3, seed=0, prior=PRIOR)
         with pytest.raises(DomainError):
             SimConfig(delta_true=1.0, n_records=4, reps=0, seed=0, prior=PRIOR)
+        with pytest.raises(DomainError):
+            SimConfig(delta_true=1.0, n_records=4, reps=2**64, seed=0, prior=PRIOR)
         with pytest.raises(DomainError):
             SimConfig(
                 delta_true=1.0, n_records=4, reps=3, seed=0, prior=PRIOR,
@@ -467,6 +477,17 @@ def _reference_interval_rows(cfg):
     return rows
 
 
+def _direct_block(n, seed, lo, hi, delta, prior):
+    """(scale, last record, range) of repetitions lo..hi-1 by the sampler."""
+    want = []
+    for rep in range(lo, hi):
+        rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
+        scale = delta or 1.0 / rng.gamma(prior[0], 1.0 / prior[1])
+        values = sample_records_direct(scale, n, rng).values
+        want.append((scale, values[-1], values[-1] - values[0]))
+    return want
+
+
 class TestBlockPath:
     """Per-block rule evaluation against the per-repetition reference loop."""
 
@@ -552,20 +573,15 @@ class TestBlockPath:
         rows = min(sim._BUFFER_ROWS, sim._BUFFER_VALUES // n)
         delta = 1.3 if prior is None else None
         for lo, hi in [(0, rows - 1), (3, 3 + rows), (rows + 7, 3 * rows + 8)]:
-            want = []
-            for rep in range(lo, hi):
-                rng = np.random.default_rng(derive_rep_seed(11, rep, n))
-                scale = delta or 1.0 / rng.gamma(3.0, 1.0 / 4.0)
-                values = sample_records_direct(scale, n, rng).values
-                want.append((scale, values[-1], values[-1] - values[0]))
             got = sim._sample_block(n, 11, lo, hi, delta, prior)
+            want = _direct_block(n, 11, lo, hi, delta, prior)
             assert list(zip(*(a.tolist() for a in got))) == want
 
     def test_block_memory_does_not_grow_with_its_repetitions(self, monkeypatch):
         # the traced peak of a block of many buffers stays below twice its
-        # three output arrays: neither the gaps nor the generator states are
-        # held for the whole block at once (small buffers keep the traced run
-        # short; at the default ones a 200k-repetition block holds the bound)
+        # three output arrays: the gaps are not held for the whole block at
+        # once (small buffers keep the traced run short; at the default ones
+        # a 200k-repetition block holds the bound)
         sim._sample_block(8, 1, 0, 3, 1.3)  # numpy's one-time allocations
         monkeypatch.setattr(sim, "_BUFFER_ROWS", 64)
         tracemalloc.start()
