@@ -114,6 +114,46 @@ class TestSeedDerivation:
         assert got == _reference_point_rows(cfg)
 
 
+class TestBlockStreams:
+    """A block's generator states against the ones derive_rep_seed defines."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]  # last: 5 words
+    )
+    @pytest.mark.parametrize("n", [2, 9])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 3), (5, 9), (2**32 - 2, 2**32 + 1), (2**64 - 3, 2**64)],
+    )
+    def test_states_match_default_rng(self, seed, n, lo, hi, monkeypatch):
+        # with a known delta a repetition's first draw is its gaps, so the
+        # generator's state there is the whole of its stream
+        seen, draw = [], sim._draw_gaps
+
+        def spy(rng, out):
+            state = rng.bit_generator.state
+            seen.append(
+                (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+                 state["buffer_pos"], state["has_uint32"])
+            )
+            draw(rng, out)
+
+        monkeypatch.setattr(sim, "_draw_gaps", spy)
+        got = sim._sample_block(n, seed, lo, hi, 1.3)
+        want = []
+        for rep in range(lo, hi):
+            rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
+            state = rng.bit_generator.state
+            want.append(
+                (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+                 state["buffer_pos"], state["has_uint32"])
+            )
+        assert seen == want
+        assert list(zip(*(a.tolist() for a in got))) == _direct_block(
+            n, seed, lo, hi, 1.3, None
+        )
+
+
 class TestSimConfig:
     def test_scalar_n_normalized(self):
         cfg = SimConfig(delta_true=1.0, n_records=4, reps=3, seed=0, prior=PRIOR)
