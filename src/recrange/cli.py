@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ._meta import TOOL_VERSION
@@ -68,13 +68,7 @@ class RunManifest:
     tool_version: str = TOOL_VERSION
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "input_digest": self.input_digest,
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
@@ -112,7 +106,10 @@ def _digest_values(values) -> str:
 
 
 def parse_n_spec(text: str) -> tuple[int, ...]:
-    """Record-count selections: '4', '2,4,6', or an inclusive range '2..6'."""
+    """Record-count selections: '4', '2,4,6', or an inclusive range '2..6'.
+
+    The counts come back sorted, each once, whatever order the text lists.
+    """
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -127,7 +124,7 @@ def parse_n_spec(text: str) -> tuple[int, ...]:
                 out.append(int(token))
         except ValueError:
             raise ParseError(f"bad record-count selection: {token!r}") from None
-    return tuple(out)
+    return tuple(sorted(set(out)))
 
 
 def parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -173,15 +170,16 @@ def _cell_text(value, fmt: str | None) -> str:
     return str(value)
 
 
-def render_table(columns, rows, formats=None, manifest=None) -> str:
-    """Aligned plain-text table; floats use per-column significant digits."""
+def render_table(rows, formats=None, manifest=None) -> str:
+    """Aligned plain-text table; floats use per-column significant digits.
+
+    The columns are the first row's keys, in order.
+    """
     formats = formats or {}
+    columns = list(rows[0])
     header = [str(c) for c in columns]
     body = [[_cell_text(row.get(c), formats.get(c)) for c in columns] for row in rows]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-        for i in range(len(columns))
-    ]
+    widths = [max(map(len, cells)) for cells in zip(header, *body)]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
         "  ".join("-" * w for w in widths),
@@ -193,8 +191,9 @@ def render_table(columns, rows, formats=None, manifest=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(columns, rows, manifest=None) -> str:
+def render_csv(rows, manifest=None) -> str:
     """RFC-style CSV: header row, period decimals, full-precision floats."""
+    columns = list(rows[0])
     buf = io.StringIO()
     if manifest is not None:
         buf.write(f"# manifest: {manifest.to_json()}\n")
@@ -205,7 +204,8 @@ def render_csv(columns, rows, manifest=None) -> str:
     return buf.getvalue()
 
 
-def render_json(columns, rows, manifest=None) -> str:
+def render_json(rows, manifest=None) -> str:
+    columns = list(rows[0])
     payload = {
         "manifest": manifest.as_dict() if manifest is not None else None,
         "rows": [{c: row.get(c) for c in columns} for row in rows],
@@ -223,14 +223,14 @@ def _check_finite(rows) -> None:
                 )
 
 
-def _emit(args, columns, rows, formats, manifest) -> None:
+def _emit(args, rows, formats, manifest) -> None:
     _check_finite(rows)
     if args.format == "csv":
-        text = render_csv(columns, rows, manifest)
+        text = render_csv(rows, manifest)
     elif args.format == "json":
-        text = render_json(columns, rows, manifest)
+        text = render_json(rows, manifest)
     else:
-        text = render_table(columns, rows, formats, manifest)
+        text = render_table(rows, formats, manifest)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -268,10 +268,9 @@ def cmd_extract(args) -> int:
         seed=None,
         input_digest=digest,
     )
-    columns = ["record", "time", "value", "range_from_first"]
     # fixed 8 decimals, matching the precision record data is listed at
     formats = {"value": ".8f", "range_from_first": ".8f"}
-    _emit(args, columns, rows, formats, manifest)
+    _emit(args, rows, formats, manifest)
     return 0
 
 
@@ -280,7 +279,7 @@ def _prior_from_args(args) -> PriorParams:
 
 
 def _record_counts(args, summary) -> tuple[int, ...]:
-    """The --n selection (default: every count the data has), sorted and unique."""
+    """The --n selection (default: every count the data has), checked."""
     ns = parse_n_spec(args.n) if args.n else tuple(range(2, summary.n + 1))
     if not ns:
         raise DomainError("no record counts selected")
@@ -292,7 +291,7 @@ def _record_counts(args, summary) -> tuple[int, ...]:
         raise InsufficientRecordsError(
             f"data has {summary.n} records; cannot evaluate at n={missing}"
         )
-    return tuple(sorted(set(ns)))
+    return ns
 
 
 def cmd_estimate(args) -> int:
@@ -323,12 +322,7 @@ def cmd_estimate(args) -> int:
                 row[f"{est.value}_mse"] = mom.mse if mom is not None else None
         rows.append(row)
 
-    columns = ["n"]
-    for est in estimators:
-        columns.append(est.value)
-        if args.delta_ref is not None:
-            columns.extend([f"{est.value}_mean", f"{est.value}_mse"])
-    formats = {c: _EST_FMT for c in columns if c != "n"}
+    formats = {c: _EST_FMT for c in rows[0] if c != "n"}
     parameters = {
         "input": str(args.input),
         "a": args.a,
@@ -338,7 +332,7 @@ def cmd_estimate(args) -> int:
         "delta_ref": args.delta_ref,
     }
     manifest = RunManifest("estimate", parameters, None, digest)
-    _emit(args, columns, rows, formats, manifest)
+    _emit(args, rows, formats, manifest)
     return 0
 
 
@@ -374,7 +368,6 @@ def cmd_interval(args) -> int:
                     }
                 )
 
-    columns = ["n", "kind", "alpha", "lower", "upper", "length", "coverage_check"]
     formats = {c: _IV_FMT for c in ("lower", "upper", "length", "coverage_check")}
     formats["alpha"] = "g"
     parameters = {
@@ -386,7 +379,7 @@ def cmd_interval(args) -> int:
         "n": list(ns),
     }
     manifest = RunManifest("interval", parameters, None, digest)
-    _emit(args, columns, rows, formats, manifest)
+    _emit(args, rows, formats, manifest)
     return 0
 
 
@@ -444,14 +437,6 @@ def cmd_simulate(args) -> int:
 
     if args.mode == "point":
         result = run_point_sim(config)
-        columns = [
-            "estimator",
-            "n",
-            "average_estimate",
-            "empirical_mse",
-            "analytic_mean",
-            "analytic_mse",
-        ]
         rows = [
             {
                 "estimator": r.estimator_id.value,
@@ -464,10 +449,7 @@ def cmd_simulate(args) -> int:
             for r in result.point_rows
         ]
     else:
-        if not alphas:
-            raise DomainError("interval mode needs --alpha")
         result = run_interval_sim(config)
-        columns = ["kind", "n", "alpha", "empirical_coverage", "mean_length"]
         rows = [
             {
                 "kind": r.kind.value,
@@ -482,8 +464,8 @@ def cmd_simulate(args) -> int:
     _check_finite(rows)
     csv_path = Path(f"{args.out}.csv")
     json_path = Path(f"{args.out}.json")
-    csv_path.write_text(render_csv(columns, rows, manifest), encoding="utf-8")
-    json_path.write_text(render_json(columns, rows, manifest), encoding="utf-8")
+    csv_path.write_text(render_csv(rows, manifest), encoding="utf-8")
+    json_path.write_text(render_json(rows, manifest), encoding="utf-8")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -491,7 +473,6 @@ def cmd_simulate(args) -> int:
 def cmd_risk(args) -> int:
     loss = LossWeight(args.loss)
     rows = []
-    columns: list[str]
     parameters: dict
 
     if args.k_sweep:
@@ -524,7 +505,6 @@ def cmd_risk(args) -> int:
                     "gap": r1_r2_gap(k, n, b),
                 }
             )
-        columns = ["k", "r1", "r2", "gap"]
         parameters = {
             "k_sweep": args.k_sweep,
             "k_points": args.k_points,
@@ -535,6 +515,11 @@ def cmd_risk(args) -> int:
     else:
         if args.m is None or args.d is None:
             raise DomainError("risk needs --m and --d (or --k-sweep)")
+        if (args.a is None) != (args.b is None):
+            missing = "--b" if args.b is None else "--a"
+            raise DomainError(
+                f"the bayes_risk column needs --a and --b; {missing} is missing"
+            )
         est = LinearEstimator(m=args.m, d=args.d)
         row = {
             "m": args.m,
@@ -544,13 +529,11 @@ def cmd_risk(args) -> int:
         }
         if args.delta is not None:
             row["risk"] = risk_linear(est, args.delta, args.n, loss)
-        if args.a is not None and args.b is not None:
+        if args.a is not None:
             row["bayes_risk"] = bayes_risk_linear(
                 est, args.n, PriorParams(a=args.a, b=args.b), loss
             )
         rows.append(row)
-        columns = [c for c in ("m", "d", "n", "classification", "risk", "bayes_risk")
-                   if c in row]
         parameters = {
             "m": args.m,
             "d": args.d,
@@ -561,10 +544,10 @@ def cmd_risk(args) -> int:
             "loss": loss.value,
         }
 
-    formats = {c: _EST_FMT for c in columns if c not in ("n", "classification")}
+    formats = {c: _EST_FMT for c in rows[0] if c not in ("n", "classification")}
     formats.pop("gap", None)  # the sweep's gap column shrinks below 6 digits
     manifest = RunManifest("risk", parameters, None, _digest_values([]))
-    _emit(args, columns, rows, formats, manifest)
+    _emit(args, rows, formats, manifest)
     return 0
 
 
@@ -579,8 +562,7 @@ def cmd_reproduce(args) -> int:
     for cell in table:
         by_n.setdefault(cell.n, {"n": cell.n})[cell.estimator_id.value] = cell.value
     rows = [by_n[n] for n in sorted(by_n)]
-    columns = ["n", "mle_records", "mle_urr", "bayes_quadratic", "bayes_squared"]
-    formats = {c: _EST_FMT for c in columns if c != "n"}
+    formats = {c: _EST_FMT for c in rows[0] if c != "n"}
     parameters = {
         "table": args.table,
         "input": str(args.input) if args.input else "bundled",
@@ -588,7 +570,7 @@ def cmd_reproduce(args) -> int:
         "b": args.b,
     }
     manifest = RunManifest("reproduce", parameters, None, digest)
-    _emit(args, columns, rows, formats, manifest)
+    _emit(args, rows, formats, manifest)
     return 0
 
 
@@ -630,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True, help="prior scale")
     p.add_argument(
         "--estimators",
-        default="mle_sample,mle_records,mle_urr,bayes_quadratic,bayes_squared,bayes_absolute",
+        default=",".join(e.value for e in EstimatorId),
         help="comma-separated estimator ids",
     )
     p.add_argument("--n", help="record counts, e.g. 4 or 2,4 or 2..6 (default: all)")
@@ -680,7 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="true scale for the risk column")
     p.add_argument("--a", type=float, help="prior shape for the Bayes risk column")
     p.add_argument("--b", type=float, help="prior scale")
-    p.add_argument("--loss", choices=("scaled", "unscaled"), default="scaled")
+    p.add_argument(
+        "--loss", choices=[w.value for w in LossWeight], default=LossWeight.SCALED.value
+    )
     p.add_argument("--k-sweep", help="log-spaced sweep LO:HI of the r1/r2 gap")
     p.add_argument("--k-points", type=int, default=13)
     _add_format_flags(p)

@@ -7,6 +7,17 @@ can catch one base class. Subclasses also inherit the matching builtin
 
 from __future__ import annotations
 
+__all__ = [
+    "RecRangeError",
+    "DomainError",
+    "ParseError",
+    "InsufficientRecordsError",
+    "DegeneratePosteriorError",
+    "UnsupportedEstimatorError",
+    "ConvergenceError",
+    "CapExhaustedError",
+]
+
 
 class RecRangeError(Exception):
     """Base class for all errors raised by this package."""

@@ -125,12 +125,6 @@ def truncate(summary: RecordSummary, n: int) -> RecordSummary:
     )
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _direct_values(delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # the direct sampler's draw, unchecked: n record values as the running
     # sum of n Exp(delta) gaps; sim's blocks draw the same gaps unscaled into
@@ -153,7 +147,7 @@ def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     synthetic placeholders.
     """
     _check_sampler(delta, n)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
         values=values, times=tuple(range(1, n + 1)), times_synthetic=True
@@ -173,7 +167,7 @@ def sample_records_stream(
     _check_sampler(delta, n)
     if cap < 1:
         raise DomainError(f"the draw cap must be positive, got {cap!r}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     # values are drawn a chunk at a time only as the scan reaches them, so a
     # scan that stops at n records leaves the rest of the stream undrawn
     draws = (

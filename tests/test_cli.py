@@ -43,6 +43,7 @@ class TestParsers:
         assert parse_n_spec("4") == (4,)
         assert parse_n_spec("2,4,6") == (2, 4, 6)
         assert parse_n_spec("2..6") == (2, 3, 4, 5, 6)
+        assert parse_n_spec("6,3,3..4") == (3, 4, 6)
 
     @pytest.mark.parametrize("bad", ["", "x", "4..2", "1..","2,,3", "2..x"])
     def test_n_spec_rejects(self, bad):
@@ -321,6 +322,23 @@ class TestRecordCounts:
         assert [r["n"] for r in doc["rows"]] == [2, 4]
         assert doc["manifest"]["parameters"]["n"] == [2, 4]
 
+    @pytest.mark.parametrize("given, canonical", [("3,3", "3"), ("6,3", "3,6")])
+    def test_simulate_selection_is_sorted_and_unique(
+        self, invoke, tmp_path, given, canonical
+    ):
+        argv = ("simulate", "--a", "3", "--b", "5", "--reps", "20", "--seed", "1")
+        for spec, name in ((given, "given"), (canonical, "canonical")):
+            code, _, err = invoke(*argv, "--n", spec, "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+        for ext in ("csv", "json"):
+            given_bytes = (tmp_path / f"given.{ext}").read_bytes()
+            assert given_bytes == (tmp_path / f"canonical.{ext}").read_bytes()
+        doc = json.loads((tmp_path / "given.json").read_text())
+        ns = [int(n) for n in canonical.split(",")]
+        assert doc["manifest"]["parameters"]["n"] == ns
+        assert sorted({r["n"] for r in doc["rows"]}) == ns
+        assert len(doc["rows"]) == 3 * len(ns)  # three default estimators
+
 
 class TestSimulate:
     def test_point_mode_writes_artifacts(self, invoke, tmp_path):
@@ -458,6 +476,17 @@ class TestSimulate:
         assert row["kind"] == "equal_tails"
         assert 0.0 <= row["empirical_coverage"] <= 1.0
 
+    def test_interval_mode_without_alpha_exits_2(self, invoke, tmp_path):
+        code, _, err = invoke(
+            "simulate", "--mode", "interval", "--a", "3", "--b", "4", "--n", "3",
+            "--reps", "50", "--alpha", "", "--out", str(tmp_path / "iv"),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "error: interval simulation needs at least one alpha"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_interval_mode_all_kinds(self, invoke, tmp_path):
         code, _, err = invoke(
             "simulate", "--mode", "interval", "--a", "3", "--b", "4", "--n", "3",
@@ -510,6 +539,18 @@ class TestRisk:
     def test_needs_some_mode(self, invoke):
         code, _, _ = invoke("risk", "--n", "4")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "prior, missing", [(["--a", "3"], "--b"), (["--b", "5"], "--a")]
+    )
+    def test_bayes_risk_needs_both_prior_flags(self, invoke, prior, missing):
+        code, out, err = invoke(
+            "risk", "--m", "0.25", "--d", "0.25", "--n", "4", "--delta", "2", *prior
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: the bayes_risk column needs --a and --b; {missing} is missing"
+        ]
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize(
