@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ._meta import TOOL_VERSION
@@ -128,6 +129,7 @@ def parse_n_spec(text: str) -> tuple[int, ...]:
 
 
 def parse_alpha_list(text: str) -> tuple[float, ...]:
+    """Comma-separated levels, each once, in the order first given."""
     out: list[float] = []
     for token in text.split(","):
         try:
@@ -139,10 +141,14 @@ def parse_alpha_list(text: str) -> tuple[float, ...]:
         except DomainError as exc:
             raise ParseError(str(exc)) from None
         out.append(value)
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def parse_estimators(text: str) -> tuple[EstimatorId, ...]:
+    """Comma-separated estimator ids, each once, in the order first given.
+
+    The order sets the order of `estimate`'s columns and of `simulate`'s rows.
+    """
     out: list[EstimatorId] = []
     for token in text.split(","):
         token = token.strip()
@@ -153,7 +159,7 @@ def parse_estimators(text: str) -> tuple[EstimatorId, ...]:
             raise ParseError(
                 f"unknown estimator {token!r}; known: {known}"
             ) from None
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,8 @@ def cmd_estimate(args) -> int:
 
 
 _KIND_CHOICES = (*(kind.value for kind in IntervalKind), "all")
+
+_SIM_ESTIMATORS = next(f.default for f in fields(SimConfig) if f.name == "estimators")
 
 
 def _kinds_from_flag(flag: str) -> tuple[IntervalKind, ...]:
@@ -647,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"master seed (default: ${SEED_ENV_VAR} or 0)",
     )
     p.add_argument(
-        "--estimators", default="mle_urr,bayes_quadratic,bayes_squared"
+        "--estimators", default=",".join(e.value for e in _SIM_ESTIMATORS)
     )
     p.add_argument("--alpha", default="0.1", help="levels for interval mode")
     p.add_argument("--kind", choices=_KIND_CHOICES, default="equal_tails")
@@ -681,10 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on the first call of main and not at import.
+# Reusing it carries nothing over between calls: parse_args builds a new
+# Namespace each time, no action has a mutable default, and argparse looks up
+# sys.stdout and sys.stderr only when it prints.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,13 +13,16 @@ from recrange import (
     DomainError,
     ParseError,
     PriorParams,
+    SimConfig,
     datasets,
     extract_upper_records,
     posterior_from,
     truncate,
 )
+from recrange import cli
 from recrange.cli import (
     RunManifest,
+    build_parser,
     entrypoint,
     main,
     parse_alpha_list,
@@ -53,6 +56,7 @@ class TestParsers:
     def test_alpha_list(self):
         assert parse_alpha_list("0.1") == (0.1,)
         assert parse_alpha_list("0.10,0.05") == (0.10, 0.05)
+        assert parse_alpha_list("0.1,0.05,0.10") == (0.1, 0.05)
         with pytest.raises(ParseError):
             parse_alpha_list("0.0")
         with pytest.raises(ParseError):
@@ -61,6 +65,8 @@ class TestParsers:
     def test_estimator_list(self):
         ids = parse_estimators("mle_urr,bayes_squared")
         assert [e.value for e in ids] == ["mle_urr", "bayes_squared"]
+        ids = parse_estimators("bayes_squared,mle_urr,bayes_squared")
+        assert [e.value for e in ids] == ["bayes_squared", "mle_urr"]
         with pytest.raises(ParseError):
             parse_estimators("nonsense")
 
@@ -340,6 +346,48 @@ class TestRecordCounts:
         assert len(doc["rows"]) == 3 * len(ns)  # three default estimators
 
 
+class TestRepeatedSelections:
+    """A repeated estimator or level runs once, where it first appears."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, given, once",
+        [
+            (
+                ["simulate", "--a", "3", "--b", "5", "--n", "3", "--reps", "10"],
+                "--estimators", "bayes_squared,mle_urr,bayes_squared",
+                ["bayes_squared", "mle_urr"],
+            ),
+            (
+                ["interval", "{sample}", "--a", "3", "--b", "5", "--n", "3",
+                 "--kind", "equal_tails", "--format", "json"],
+                "--alpha", "0.1,0.05,0.10", [0.1, 0.05],
+            ),
+            (
+                ["estimate", "{sample}", "--a", "3", "--b", "5", "--n", "3",
+                 "--format", "json"],
+                "--estimators", "mle_urr,bayes_absolute,mle_urr",
+                ["mle_urr", "bayes_absolute"],
+            ),
+        ],
+        ids=["simulate", "interval", "estimate"],
+    )
+    def test_repeats_are_dropped_keeping_the_first(
+        self, invoke, tmp_path, sample_b_file, argv, flag, given, once
+    ):
+        argv = [arg.format(sample=sample_b_file) for arg in argv]
+        # simulate writes <out>.csv and <out>.json, the others write <out>
+        suffix = "" if argv[0] == "simulate" else ".json"
+        once_spec = ",".join(map(str, once))
+        for spec, name in ((given, "given"), (once_spec, "once")):
+            out = tmp_path / f"{name}{suffix}"
+            code, _, err = invoke(*argv, flag, spec, "--out", str(out))
+            assert (code, err) == (0, "")
+        for path in tmp_path.glob("given.*"):
+            assert path.read_bytes() == (tmp_path / f"once{path.suffix}").read_bytes()
+        doc = json.loads((tmp_path / "given.json").read_text())
+        assert doc["manifest"]["parameters"][flag[2:]] == once
+
+
 class TestSimulate:
     def test_point_mode_writes_artifacts(self, invoke, tmp_path):
         out_prefix = tmp_path / "run"
@@ -463,6 +511,20 @@ class TestSimulate:
         )
         assert code == 2
         assert "reps must be in [1, 2**64)" in err
+
+    def test_default_estimators_are_the_sim_configs(self, invoke, tmp_path):
+        code, _, err = invoke(
+            "simulate", "--a", "3", "--b", "5", "--n", "3", "--reps", "10",
+            "--out", str(tmp_path / "x"),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads((tmp_path / "x.json").read_text())
+        config = SimConfig(
+            delta_true=1.0, n_records=3, reps=10, seed=0, prior=PriorParams(3.0, 5.0)
+        )
+        default = [e.value for e in config.estimators]
+        assert doc["manifest"]["parameters"]["estimators"] == default
+        assert [row["estimator"] for row in doc["rows"]] == default
 
     def test_interval_mode(self, invoke, tmp_path):
         code, _, _ = invoke(
@@ -635,6 +697,58 @@ class TestTopLevel:
         assert lines[1].split(",")[0] == "n"
         value = float(lines[2].split(",")[1])
         assert math.isclose(value, 4.31923174, rel_tol=1e-8)
+
+
+class TestRepeatedCalls:
+    """main keeps one parser per process, and no call sees an earlier one."""
+
+    SIM = ("simulate", "--a", "3", "--b", "5", "--n", "3", "--reps", "20")
+
+    def test_usage_error_then_a_valid_run(self, invoke, tmp_path):
+        code, out, err = invoke(*self.SIM[:-2], "--out", str(tmp_path / "bad"))
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --reps" in err
+        code, _, err = invoke(*self.SIM, "--out", str(tmp_path / "good"))
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.csv", "good.json"]
+
+    def test_seed_flag_does_not_carry_over(self, invoke, tmp_path, monkeypatch):
+        monkeypatch.delenv("RRB_SEED", raising=False)
+        invoke(*self.SIM, "--seed", "7", "--out", str(tmp_path / "flag"))
+        invoke(*self.SIM, "--out", str(tmp_path / "none"))
+        seeds = [
+            json.loads((tmp_path / f"{name}.json").read_text())["manifest"]["seed"]
+            for name in ("flag", "none")
+        ]
+        assert seeds == [7, 0]
+
+    def test_a_run_repeats_its_bytes_after_another_command(self, invoke, tmp_path):
+        point = [*self.SIM, "--seed", "3", "--estimators", "mle_urr,bayes_squared"]
+        interval = [
+            "simulate", "--mode", "interval", "--a", "4", "--b", "2", "--n", "3,6",
+            "--reps", "20", "--alpha", "0.1,0.5", "--kind", "all", "--seed", "9",
+        ]
+        for argv, name in ((point, "first"), (interval, "interval"), (point, "third")):
+            code, _, err = invoke(*argv, "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+        for ext in ("csv", "json"):
+            first = (tmp_path / f"first.{ext}").read_bytes()
+            assert first == (tmp_path / f"third.{ext}").read_bytes()
+
+    def test_version_and_help_after_a_run(self, invoke, tmp_path):
+        assert invoke(*self.SIM, "--out", str(tmp_path / "x"))[0] == 0
+        assert invoke("--version") == (0, f"recrange {recrange.__version__}\n", "")
+        assert invoke("--help") == (0, build_parser().format_help(), "")
+
+    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self, invoke):
+        invoke("--version")
+        before = cli._parser.cache_info()
+        invoke("--version")
+        invoke("--help")
+        after = cli._parser.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, 1)
+        assert after.hits == before.hits + 2
+        assert build_parser() is not build_parser()
 
 
 class TestExtremeInputsFinish:
