@@ -344,8 +344,6 @@ def cmd_estimate(args) -> int:
 
 _KIND_CHOICES = (*(kind.value for kind in IntervalKind), "all")
 
-_SIM_ESTIMATORS = next(f.default for f in fields(SimConfig) if f.name == "estimators")
-
 
 def _kinds_from_flag(flag: str) -> tuple[IntervalKind, ...]:
     return tuple(IntervalKind) if flag == "all" else (IntervalKind(flag),)
@@ -654,8 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"master seed (default: ${SEED_ENV_VAR} or 0)",
     )
+    sim_estimators = next(
+        f.default for f in fields(SimConfig) if f.name == "estimators"
+    )
     p.add_argument(
-        "--estimators", default=",".join(e.value for e in _SIM_ESTIMATORS)
+        "--estimators", default=",".join(e.value for e in sim_estimators)
     )
     p.add_argument("--alpha", default="0.1", help="levels for interval mode")
     p.add_argument("--kind", choices=_KIND_CHOICES, default="equal_tails")

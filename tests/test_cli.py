@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,6 @@ from recrange import (
     posterior_from,
     truncate,
 )
-from recrange import cli
 from recrange.cli import (
     RunManifest,
     build_parser,
@@ -740,15 +740,24 @@ class TestRepeatedCalls:
         assert invoke("--version") == (0, f"recrange {recrange.__version__}\n", "")
         assert invoke("--help") == (0, build_parser().format_help(), "")
 
-    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self, invoke):
+    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(
+        self, invoke, monkeypatch
+    ):
         invoke("--version")
-        before = cli._parser.cache_info()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         invoke("--version")
         invoke("--help")
-        after = cli._parser.cache_info()
-        assert (after.misses, after.currsize) == (before.misses, 1)
-        assert after.hits == before.hits + 2
+        assert invoke("simulate")[0] == 2
+        assert built == []
         assert build_parser() is not build_parser()
+        assert built
 
 
 class TestExtremeInputsFinish:
