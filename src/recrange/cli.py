@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._meta import TOOL_VERSION
@@ -69,10 +69,15 @@ class RunManifest:
     tool_version: str = TOOL_VERSION
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # the fields as they are, not deep copies: every renderer only reads
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return _compact_json(self.as_dict())
+
+
+def _compact_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +184,8 @@ def _cell_text(value, fmt: str | None) -> str:
 def render_table(rows, formats=None, manifest=None) -> str:
     """Aligned plain-text table; floats use per-column significant digits.
 
-    The columns are the first row's keys, in order.
+    The columns are the first row's keys, in order; manifest is a
+    RunManifest.as_dict().
     """
     formats = formats or {}
     columns = list(rows[0])
@@ -193,16 +199,19 @@ def render_table(rows, formats=None, manifest=None) -> str:
     for r in body:
         lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
     if manifest is not None:
-        lines.append(f"# manifest: {manifest.to_json()}")
+        lines.append(f"# manifest: {_compact_json(manifest)}")
     return "\n".join(lines) + "\n"
 
 
 def render_csv(rows, manifest=None) -> str:
-    """RFC-style CSV: header row, period decimals, full-precision floats."""
+    """RFC-style CSV: header row, period decimals, full-precision floats.
+
+    manifest is a RunManifest.as_dict().
+    """
     columns = list(rows[0])
     buf = io.StringIO()
     if manifest is not None:
-        buf.write(f"# manifest: {manifest.to_json()}\n")
+        buf.write(f"# manifest: {_compact_json(manifest)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -213,7 +222,7 @@ def render_csv(rows, manifest=None) -> str:
 def render_json(rows, manifest=None) -> str:
     columns = list(rows[0])
     payload = {
-        "manifest": manifest.as_dict() if manifest is not None else None,
+        "manifest": manifest,
         "rows": [{c: row.get(c) for c in columns} for row in rows],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -231,12 +240,13 @@ def _check_finite(rows) -> None:
 
 def _emit(args, rows, formats, manifest) -> None:
     _check_finite(rows)
+    doc = manifest.as_dict()
     if args.format == "csv":
-        text = render_csv(rows, manifest)
+        text = render_csv(rows, doc)
     elif args.format == "json":
-        text = render_json(rows, manifest)
+        text = render_json(rows, doc)
     else:
-        text = render_table(rows, formats, manifest)
+        text = render_table(rows, formats, doc)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -436,9 +446,7 @@ def cmd_simulate(args) -> int:
         command="simulate",
         parameters=parameters,
         seed=seed,
-        input_digest=hashlib.sha256(
-            json.dumps(parameters, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest(),
+        input_digest=hashlib.sha256(_compact_json(parameters).encode()).hexdigest(),
     )
 
     if args.mode == "point":
@@ -470,8 +478,9 @@ def cmd_simulate(args) -> int:
     _check_finite(rows)
     csv_path = Path(f"{args.out}.csv")
     json_path = Path(f"{args.out}.json")
-    csv_path.write_text(render_csv(rows, manifest), encoding="utf-8")
-    json_path.write_text(render_json(rows, manifest), encoding="utf-8")
+    doc = manifest.as_dict()  # one dict for both artifacts
+    csv_path.write_text(render_csv(rows, doc), encoding="utf-8")
+    json_path.write_text(render_json(rows, doc), encoding="utf-8")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

@@ -1,18 +1,23 @@
 """Seeded Monte Carlo experiments over the record-range model.
 
-Every repetition draws from its own Philox counter stream (derive_rep_seed):
-one key per (master seed, record count), and the repetition's index as the
-top word of the counter. So results are bit-identical no matter how
-repetitions are scheduled. Runs carve the repetition index range into
-contiguous blocks, one per worker process. A block keeps one generator and
-moves its counter to each repetition in turn; a repetition costs one state
-load and one row of draws into a bounded matrix. The block scales and sums
-that matrix's rows at once and keeps only the sufficient statistics (scale,
-last record, range). Every equal-tails interval and every record rule, one
-(statistic, divisor) entry of the estimators' table, depends on nothing
-else, so each is then evaluated once per block on those arrays. The HPD
-kinds are still solved one repetition at a time. Blocks are reduced
-strictly in index order.
+Every stream is a Philox counter stream (derive_rep_seed): one key per
+(master seed, record count), and one index as the top word of the counter.
+Runs split the repetitions into fixed blocks of _BLOCK_REPS, whatever the
+worker count, and hand each block to one task, so results are bit-identical
+no matter how the blocks are scheduled; blocks are reduced strictly in index
+order.
+
+In a point study every repetition owns the stream at its own index. A block
+keeps one generator and moves its counter to each repetition in turn; a
+repetition costs one state load and one row of draws into a bounded matrix.
+The block scales and sums that matrix's rows at once and keeps the last
+record and the range. In an interval study a block owns the stream at its
+block index and draws in two numpy calls what its repetitions need: the
+scales from the prior, then the ranges, r | delta ~ Gamma(n - 1, delta).
+Every equal-tails interval and every record rule, one (statistic, divisor)
+entry of the estimators' table, depends on nothing else, so each is then
+evaluated once per block on those arrays. The HPD kinds are still solved one
+repetition at a time.
 """
 
 from __future__ import annotations
@@ -68,16 +73,17 @@ _cell_moments = functools.lru_cache(maxsize=256)(analytic_moments)
 
 
 def derive_rep_seed(seed: int, rep: int, stream: int = 0) -> np.random.Philox:
-    """Counter-keyed substream for one repetition, as a Philox bit generator.
+    """Counter-keyed substream number rep, as a Philox bit generator.
 
     The key is SeedSequence(seed, spawn_key=(stream,)).generate_state(2,
     np.uint64), one per (seed, stream); rep is the top word of Philox's
-    256-bit counter, [0, 0, 0, rep], so each repetition owns 2**192 blocks
-    of four output words that no other repetition of the stream reaches
-    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-    Any subset of repetitions can be produced in any order or process, and
-    default_rng(derive_rep_seed(seed, rep, n)) defines the stream of every
-    study's repetition rep at record count n.
+    256-bit counter, [0, 0, 0, rep], so each index owns 2**192 blocks of
+    four output words that no other index of the stream reaches (Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Any subset
+    of indices can be produced in any order or process. At record count n,
+    default_rng(derive_rep_seed(seed, rep, n)) is the stream of a point
+    study's repetition rep, and of an interval study's block rep: its
+    repetitions rep * _BLOCK_REPS onwards, up to _BLOCK_REPS of them.
     """
     for name, value in (("seed", seed), ("stream", stream)):
         if value < 0:
@@ -96,9 +102,9 @@ class SimConfig:
     run over the same repetition budget. estimators and alpha_list select
     what run_point_sim and run_interval_sim compute; interval_kinds names
     constructions as intervals.interval does (hpd_hpm is the closed form at
-    the exact-HPD length) and defaults to equal tails only. workers splits
-    repetitions over processes, at most one per usable CPU, without changing
-    any output bit.
+    the exact-HPD length) and defaults to equal tails only. workers runs the
+    study's fixed blocks of repetitions on that many processes, at most one
+    per usable CPU and one per block, without changing any output bit.
     """
 
     delta_true: float
@@ -190,18 +196,9 @@ class SimResult:
     interval_rows: tuple[IntervalRow, ...] = ()
 
 
-def _chunks(reps: int, workers: int) -> list[tuple[int, int]]:
-    # contiguous blocks covering range(reps) in index order
-    workers = min(workers, reps)
-    size, extra = divmod(reps, workers)
-    bounds = []
-    lo = 0
-    for i in range(workers):
-        hi = lo + size + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
+# a study's repetitions run in blocks of this many, one task each, the last
+# block shorter; an interval study draws each block from its own stream
+_BLOCK_REPS = 4096
 
 # a block draws its record gaps into a matrix of at most _BUFFER_ROWS rows
 # and _BUFFER_VALUES values (but at least one row), then scales and sums it
@@ -215,32 +212,21 @@ def _draw_gaps(rng: np.random.Generator, out: np.ndarray) -> None:
 
 
 def _sample_block(
-    n: int,
-    seed: int,
-    lo: int,
-    hi: int,
-    delta: float | None,
-    prior: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale, last record and range of repetitions lo..hi-1, as arrays.
+    n: int, seed: int, lo: int, hi: int, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Last record and range of point-study repetitions lo..hi-1, as arrays.
 
-    Repetition rep draws from exactly the stream of
-    default_rng(derive_rep_seed(seed, rep, n)): its scale from the
-    inverted-gamma prior (a, b) when delta is None, then its n record
-    gaps. The block keeps one Philox of that key and, per repetition, writes
-    rep into the counter of its saved state and loads the state back, then
-    draws the gaps into that repetition's row of a matrix; it then scales
-    and sums all rows at once, which gives sample_records_direct's values
-    bit for bit. The matrix is bounded (_BUFFER_ROWS, _BUFFER_VALUES),
-    whatever the block's size, and the block fills it once per range of that
-    many repetitions.
+    Repetition rep draws its n record gaps from exactly the stream of
+    default_rng(derive_rep_seed(seed, rep, n)). The block keeps one Philox
+    of that key and, per repetition, writes rep into the counter of its
+    saved state and loads the state back, then draws the gaps into that
+    repetition's row of a matrix; it then scales and sums all rows at once,
+    which gives sample_records_direct's values bit for bit. The matrix is
+    bounded (_BUFFER_ROWS, _BUFFER_VALUES), whatever the block's size, and
+    the block fills it once per range of that many repetitions.
     """
     k = hi - lo
-    deltas, lasts, ranges = np.empty(k), np.empty(k), np.empty(k)
-    if prior is None:
-        deltas.fill(delta)
-    else:
-        a, scale = prior[0], 1.0 / prior[1]
+    lasts, ranges = np.empty(k), np.empty(k)
     rows = min(k, _BUFFER_ROWS, max(1, _BUFFER_VALUES // n))
     gaps = np.empty((rows, n))
     bit_generator = derive_rep_seed(seed, lo, n)
@@ -249,48 +235,47 @@ def _sample_block(
     counter = state["state"]["counter"]
     for start in range(0, k, rows):
         stop = min(start + rows, k)
-        values, scales = gaps[: stop - start], deltas[start:stop]
+        values = gaps[: stop - start]
         for i, rep in enumerate(range(lo + start, lo + stop)):
             counter[3] = rep
             bit_generator.state = state
-            if prior is not None:
-                g = rng.gamma(shape=a, scale=scale)  # may underflow to 0
-                scales[i] = 1.0 / g if g > 0.0 else math.inf
             _draw_gaps(rng, values[i])
         # overflowing draws are left to _check_block, which names their source
         with np.errstate(over="ignore", invalid="ignore"):
-            values *= scales[:, None]
+            values *= delta
             np.cumsum(values, axis=1, out=values)  # a running sum, row by row
             lasts[start:stop] = values[:, -1]
             np.subtract(values[:, -1], values[:, 0], out=ranges[start:stop])
-    _check_block(n, deltas, lasts, ranges, prior)
-    return deltas, lasts, ranges
+    _check_block(n, delta, lasts, ranges, None)
+    return lasts, ranges
 
 
 def _check_block(n: int, deltas, lasts, ranges, prior) -> None:
-    # The per-repetition domain checks as one array check: every scale, last
-    # record and range finite and positive (nan fails both comparisons). The
-    # first bad repetition names the input behind a scale or record value
-    # outside the floats, or raises what the rules raise for it.
-    ok = (
-        (0.0 < deltas) & (deltas < math.inf)
-        & (0.0 < lasts) & (lasts < math.inf)
-        & (0.0 < ranges) & (ranges < math.inf)
-    )
+    # The per-repetition domain checks as one array check: every drawn scale,
+    # last record and range finite and positive (nan fails both comparisons).
+    # A point block draws no scale (deltas is the true scale, a float that
+    # SimConfig checked) and an interval block no last record (lasts is None;
+    # its ranges are then the record values that can overflow). The first bad
+    # repetition names the input behind a scale or record value outside the
+    # floats, or raises what the rules raise for it.
+    drawn = deltas if lasts is None else lasts
+    ok = (0.0 < drawn) & (drawn < math.inf) & (0.0 < ranges) & (ranges < math.inf)
     if ok.all():
         return
     i = int(ok.argmin())
-    delta, last = float(deltas[i]), float(lasts[i])
-    if prior is None:
-        source = "the true scale"
-    else:
+    r = float(ranges[i])
+    if lasts is None:
+        delta, top = float(deltas[i]), r
         source = f"a scale drawn from the prior (a, b) = {prior!r}"
+    else:
+        delta, top, source = deltas, float(lasts[i]), "the true scale"
     if not 0.0 < delta < math.inf:
         raise DomainError(f"{source} is not a positive float, got {delta!r}")
-    if not last < math.inf:
+    if not top < math.inf:
         raise DomainError(f"record values overflow at {source}, delta = {delta!r}")
-    mle_records(last, n)
-    mle_urr(float(ranges[i]), n)
+    if lasts is not None:
+        mle_records(top, n)
+    mle_urr(r, n)
 
 
 def _point_block(
@@ -304,7 +289,7 @@ def _point_block(
     b: float,
 ) -> np.ndarray:
     """Estimates for repetitions lo..hi-1, one row per repetition."""
-    _, last, r = _sample_block(n, seed, lo, hi, delta)
+    last, r = _sample_block(n, seed, lo, hi, delta)
     s, A = a + n - 1.0, b + r  # the posterior of every repetition
     out = np.empty((hi - lo, len(estimators)))
     for j, est in enumerate(estimators):
@@ -321,10 +306,22 @@ def _interval_block(
     a: float,
     b: float,
 ) -> np.ndarray:
-    """(covered, length) pairs for repetitions lo..hi-1."""
-    delta, _, r = _sample_block(n, seed, lo, hi, None, (a, b))
+    """(covered, length) pairs for repetitions lo..hi-1, one whole block.
+
+    The block, lo // _BLOCK_REPS, draws from the stream of
+    default_rng(derive_rep_seed(seed, block, n)): first its k = hi - lo
+    scales from the inverted-gamma prior (a, b), then their k record ranges,
+    r = delta * Gamma(n - 1), the range of n records at scale delta.
+    """
+    k = hi - lo
+    rng = np.random.default_rng(derive_rep_seed(seed, lo // _BLOCK_REPS, n))
+    # out-of-range draws are left to _check_block, which names their source
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        delta = 1.0 / rng.gamma(a, 1.0 / b, size=k)  # a draw of 0 gives inf
+        r = delta * rng.standard_gamma(n - 1.0, size=k)
+    _check_block(n, delta, None, r, (a, b))
     s, A = a + n - 1.0, b + r
-    out = np.empty((hi - lo, len(cells), 2))
+    out = np.empty((k, len(cells), 2))
     hpd: dict = {}  # alpha -> (cell indices, kinds) of its HPD cells
     for j, (kind, alpha) in enumerate(cells):
         if kind is IntervalKind.EQUAL_TAILS:
@@ -356,19 +353,23 @@ def _usable_cpus() -> int:
 
 
 def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
-    """block(n, seed, lo, hi, *args) over every record count and chunk.
+    """block(n, seed, lo, hi, *args) over every record count and block.
 
-    Repetitions are chunked by the pool size, workers capped at the usable
-    CPUs, since more processes only compete for them. Every task of the
-    study goes to one pool of at most that many processes.
-    The result holds one array per record count, rows in repetition order.
+    Repetitions split into blocks of _BLOCK_REPS, the last one shorter,
+    whatever the worker count, so no task crosses a block boundary. Every
+    task of the study goes to one pool of at most workers processes, capped
+    at the usable CPUs, since more processes only compete for them, and at
+    the tasks. The result holds one array per record count, rows in
+    repetition order.
     """
-    workers = min(config.workers, _usable_cpus())
-    chunks = _chunks(config.reps, workers)
-    tasks = [
-        (n, config.seed, lo, hi, *args) for n in config.n_records for lo, hi in chunks
+    bounds = [
+        (lo, min(lo + _BLOCK_REPS, config.reps))
+        for lo in range(0, config.reps, _BLOCK_REPS)
     ]
-    workers = min(workers, len(tasks))
+    tasks = [
+        (n, config.seed, lo, hi, *args) for n in config.n_records for lo, hi in bounds
+    ]
+    workers = min(config.workers, _usable_cpus(), len(tasks))
     if workers <= 1:
         blocks = [block(*task) for task in tasks]
     else:
@@ -378,7 +379,7 @@ def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(block, *task) for task in tasks]
             blocks = [f.result() for f in futures]  # submission order == index order
-    k = len(chunks)
+    k = len(bounds)
     return [np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)]
 
 

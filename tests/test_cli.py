@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -91,6 +92,11 @@ class TestManifest:
         m2 = RunManifest("estimate", {"b": 5.0, "a": 3.0}, None, "ff" * 32)
         assert m1.to_json() == m2.to_json()
         assert "tool_version" in m1.to_json()
+
+    def test_as_dict_holds_every_field_in_order(self):
+        m = RunManifest("simulate", {"n": [3, 6], "a": 3.0}, 7, "ff" * 32)
+        assert m.as_dict() == dataclasses.asdict(m)
+        assert list(m.as_dict()) == [f.name for f in dataclasses.fields(m)]
 
 
 class TestExtract:

@@ -92,13 +92,11 @@ class TestSeedDerivation:
         with pytest.raises(DomainError):
             derive_rep_seed(seed, rep, stream)
 
-    @pytest.mark.parametrize("prior", [None, (3.0, 4.0)], ids=["point", "interval"])
-    def test_block_at_the_last_counters_is_derive_rep_seeds(self, prior):
-        delta = 1.3 if prior is None else None
+    def test_block_at_the_last_counters_is_derive_rep_seeds(self):
         lo, hi = 2**64 - 2, 2**64
-        got = sim._sample_block(5, 11, lo, hi, delta, prior)
+        got = sim._sample_block(5, 11, lo, hi, 1.3)
         assert list(zip(*(a.tolist() for a in got))) == _direct_block(
-            5, 11, lo, hi, delta, prior
+            5, 11, lo, hi, 1.3
         )
 
     @pytest.mark.parametrize("seed", [7, 2**32 + 5, 2**128 + 1])  # 1, 2, 5 words
@@ -150,7 +148,7 @@ class TestBlockStreams:
             )
         assert seen == want
         assert list(zip(*(a.tolist() for a in got))) == _direct_block(
-            n, seed, lo, hi, 1.3, None
+            n, seed, lo, hi, 1.3
         )
 
 
@@ -357,10 +355,7 @@ class TestIntervalSim:
     def test_prior_draw_underflow_is_a_domain_error(self):
         # with a tiny prior shape the gamma draw of 1/delta underflows to 0
         prior = PriorParams(a=0.001, b=1.0)
-        draws = [
-            np.random.default_rng(derive_rep_seed(0, rep, 3)).gamma(0.001, 1.0)
-            for rep in range(50)
-        ]
+        draws = _block_rng(0, 0, 3).gamma(0.001, 1.0, size=50)
         assert 0.0 in draws
         cfg = SimConfig(
             delta_true=1.0, n_records=(3,), reps=50, seed=0, prior=prior,
@@ -420,6 +415,12 @@ def pool_log(monkeypatch):
 
 
 class TestPool:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # blocks of two repetitions, so small studies still run as several
+        # tasks in a pool
+        monkeypatch.setattr(sim, "_BLOCK_REPS", 2)
+
     @pytest.fixture
     def started(self, pool_log):
         return pool_log.started
@@ -427,9 +428,9 @@ class TestPool:
     @pytest.mark.parametrize(
         "n_records, reps, workers, pools",
         [
-            ((4,), 3, 8, [3]),  # fewer repetitions than workers
+            ((4,), 3, 8, [2]),  # fewer blocks than workers
             ((3, 4, 5), 1, 8, [3]),  # one task per record count, one pool
-            ((3, 4, 5), 10, 2, [2]),  # six tasks share two workers
+            ((3, 4, 5), 10, 2, [2]),  # fifteen tasks share two workers
             ((3, 4), 10, 1, []),  # workers=1 never starts a pool
         ],
         ids=["reps_below_workers", "task_per_n", "tasks_above_workers", "serial"],
@@ -466,17 +467,26 @@ class TestPool:
         assert started == [2]
         assert capped.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
 
-    def test_repetitions_are_chunked_by_the_capped_pool(self, pool_log):
-        # 500 requested workers on 8 usable CPUs: 8 chunks per record count,
-        # not 500 tiny ones
+    def test_tasks_are_the_blocks_whatever_the_workers(self, pool_log, monkeypatch):
+        # 500 requested workers on 8 usable CPUs: one task per block of 300
+        # repetitions and record count, the last block shorter, in a pool
+        # of 8
+        monkeypatch.setattr(sim, "_BLOCK_REPS", 300)
         cfg = dict(
             delta_true=1.0, n_records=(3, 6), reps=1000, seed=3,
-            prior=PriorParams(a=3.0, b=4.0),
+            prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1,),
         )
-        capped = run_point_sim(SimConfig(**cfg, workers=500))
-        assert pool_log.started == [8]
-        assert len(pool_log.submitted) == 16
-        assert capped.point_rows == run_point_sim(SimConfig(**cfg)).point_rows
+        blocks = [(0, 300), (300, 600), (600, 900), (900, 1000)]
+        studies = ((run_point_sim, "point_rows"), (run_interval_sim, "interval_rows"))
+        for run, rows in studies:
+            pool_log.started.clear()
+            pool_log.submitted.clear()
+            capped = run(SimConfig(**cfg, workers=500))
+            assert pool_log.started == [8]
+            assert [task[:4] for task in pool_log.submitted] == [
+                (n, 3, lo, hi) for n in (3, 6) for lo, hi in blocks
+            ]
+            assert getattr(capped, rows) == getattr(run(SimConfig(**cfg)), rows)
 
 
 def _reference_point_rows(cfg):
@@ -498,33 +508,45 @@ def _reference_point_rows(cfg):
     return rows
 
 
+def _block_rng(seed, block, n):
+    return np.random.default_rng(derive_rep_seed(seed, block, n))
+
+
 def _reference_interval_rows(cfg):
-    """run_interval_sim as a loop over repetitions of public functions."""
+    """run_interval_sim as a loop over repetitions of public functions.
+
+    Block b of sim._BLOCK_REPS repetitions draws, from its stream at index b,
+    first the scales of all its repetitions from the prior, then their record
+    ranges, r | delta ~ Gamma(n - 1, delta).
+    """
     cells = [(k, alpha) for k in cfg.interval_kinds for alpha in cfg.alpha_list]
+    a, b, size = cfg.prior.a, cfg.prior.b, sim._BLOCK_REPS
     rows = []
     for n in cfg.n_records:
         stats = np.empty((cfg.reps, len(cells), 2))
-        for rep in range(cfg.reps):
-            rng = np.random.default_rng(derive_rep_seed(cfg.seed, rep, n))
-            delta = 1.0 / rng.gamma(shape=cfg.prior.a, scale=1.0 / cfg.prior.b)
-            post = posterior_from(cfg.prior, sample_records_direct(delta, n, rng))
-            for j, (kind, alpha) in enumerate(cells):
-                iv = interval(kind, post, alpha)
-                stats[rep, j] = (iv.lower <= delta <= iv.upper, iv.length)
+        for lo in range(0, cfg.reps, size):
+            k = min(size, cfg.reps - lo)
+            rng = _block_rng(cfg.seed, lo // size, n)
+            deltas = 1.0 / rng.gamma(a, 1.0 / b, size=k)
+            ranges = deltas * rng.standard_gamma(n - 1, size=k)
+            draws = zip(range(lo, lo + k), deltas.tolist(), ranges.tolist())
+            for rep, delta, r in draws:
+                post = PosteriorParams(s=a + n - 1, A=b + r)
+                for j, (kind, alpha) in enumerate(cells):
+                    iv = interval(kind, post, alpha)
+                    stats[rep, j] = (iv.lower <= delta <= iv.upper, iv.length)
         for j, (kind, alpha) in enumerate(cells):
             coverage, length = stats[:, j, 0].mean(), stats[:, j, 1].mean()
             rows.append((kind, n, alpha, float(coverage), float(length)))
     return rows
 
 
-def _direct_block(n, seed, lo, hi, delta, prior):
-    """(scale, last record, range) of repetitions lo..hi-1 by the sampler."""
+def _direct_block(n, seed, lo, hi, delta):
+    """(last record, range) of point repetitions lo..hi-1 by the sampler."""
     want = []
     for rep in range(lo, hi):
-        rng = np.random.default_rng(derive_rep_seed(seed, rep, n))
-        scale = delta or 1.0 / rng.gamma(prior[0], 1.0 / prior[1])
-        values = sample_records_direct(scale, n, rng).values
-        want.append((scale, values[-1], values[-1] - values[0]))
+        values = sample_records_direct(delta, n, derive_rep_seed(seed, rep, n)).values
+        want.append((values[-1], values[-1] - values[0]))
     return want
 
 
@@ -549,12 +571,15 @@ class TestBlockPath:
         assert got == _reference_point_rows(cfg)
         assert len(pool_log.started) == (workers > 1)
 
+    @pytest.mark.parametrize("block_reps", [3, sim._BLOCK_REPS])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("reps", [1, 7])
     @pytest.mark.parametrize("seed", [0, 17, 2024])
     def test_interval_study_matches_the_reference_loop(
-        self, pool_log, seed, reps, workers
+        self, pool_log, monkeypatch, seed, reps, workers, block_reps
     ):
+        # blocks of 3 split 7 repetitions into three, the last one short
+        monkeypatch.setattr(sim, "_BLOCK_REPS", block_reps)
         cfg = SimConfig(
             delta_true=1.0, n_records=(2, 3, 8), reps=reps, seed=seed,
             prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1, 0.5),
@@ -566,6 +591,22 @@ class TestBlockPath:
         ]
         assert got == _reference_interval_rows(cfg)
         assert len(pool_log.started) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_interval_rows_do_not_depend_on_the_workers(self, pool_log, workers):
+        # three blocks per record count, the last of 5 repetitions; every
+        # task stays inside one block
+        size = sim._BLOCK_REPS
+        cfg = dict(
+            delta_true=1.0, n_records=(3, 6), reps=2 * size + 5, seed=5,
+            prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1, 0.5),
+        )
+        got = run_interval_sim(SimConfig(**cfg, workers=workers)).interval_rows
+        assert pool_log.started == ([] if workers == 1 else [workers])
+        for _, _, lo, hi, *_ in pool_log.submitted:
+            assert lo // size == (hi - 1) // size
+        assert len(pool_log.submitted) == (0 if workers == 1 else 6)
+        assert got == run_interval_sim(SimConfig(**cfg)).interval_rows
 
     def test_exact_hpd_is_solved_once_for_both_hpd_kinds(self, monkeypatch):
         calls = []
@@ -600,26 +641,26 @@ class TestBlockPath:
         with pytest.raises(DomainError) as got:
             run_point_sim(cfg)
         assert str(got.value) == str(want.value)
+        # an interval block draws no last records: a range that underflows
+        # to 0 at a valid scale meets the same rule
         with pytest.raises(DomainError) as got:
-            run_interval_sim(dataclasses.replace(cfg, alpha_list=(0.1,)))
+            sim._check_block(3, np.ones(2), None, np.array([1.0, 0.0]), (3.0, 4.0))
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("prior", [None, (3.0, 4.0)], ids=["point", "interval"])
     @pytest.mark.parametrize("n", [2, 8, 9, 17, 129])
-    def test_block_draws_are_the_direct_samplers(self, n, prior):
+    def test_block_draws_are_the_direct_samplers(self, n):
         # one below, at and above a multiple of the buffer's rows, from lo > 0
         # too; the values are running sums (numpy's pairwise sum differs from
         # n = 8 up), so the last record and range match the sampler's exactly
         rows = min(sim._BUFFER_ROWS, sim._BUFFER_VALUES // n)
-        delta = 1.3 if prior is None else None
         for lo, hi in [(0, rows - 1), (3, 3 + rows), (rows + 7, 3 * rows + 8)]:
-            got = sim._sample_block(n, 11, lo, hi, delta, prior)
-            want = _direct_block(n, 11, lo, hi, delta, prior)
+            got = sim._sample_block(n, 11, lo, hi, 1.3)
+            want = _direct_block(n, 11, lo, hi, 1.3)
             assert list(zip(*(a.tolist() for a in got))) == want
 
     def test_block_memory_does_not_grow_with_its_repetitions(self, monkeypatch):
         # the traced peak of a block of many buffers stays below twice its
-        # three output arrays: the gaps are not held for the whole block at
+        # two output arrays: the gaps are not held for the whole block at
         # once (small buffers keep the traced run short; at the default ones
         # a 200k-repetition block holds the bound)
         sim._sample_block(8, 1, 0, 3, 1.3)  # numpy's one-time allocations
@@ -649,9 +690,7 @@ class TestBlockPath:
 
     def test_bad_prior_scale_names_the_prior(self):
         with pytest.raises(DomainError) as got:
-            sim._check_block(
-                3, np.array([1.0, math.inf]), np.ones(2), np.ones(2), (3.0, 4.0)
-            )
+            sim._check_block(3, np.array([1.0, math.inf]), None, np.ones(2), (3.0, 4.0))
         assert str(got.value) == (
             "a scale drawn from the prior (a, b) = (3.0, 4.0) is not a positive "
             "float, got inf"
@@ -687,8 +726,9 @@ class TestBlockPath:
         assert str(got.value) == message
 
     def test_out_of_range_draws_are_the_same_draws(self, monkeypatch):
-        # the draws behind the message are the study's own: the first
-        # repetition whose prior draw of 1/delta underflows is the one named
+        # the draws behind the message are the study's own, its one block's:
+        # the first repetition whose prior draw of 1/delta underflows is the
+        # one named
         seen = []
         check = sim._check_block
 
@@ -703,10 +743,7 @@ class TestBlockPath:
         )
         with pytest.raises(DomainError):
             run_interval_sim(cfg)
-        draws = [
-            np.random.default_rng(derive_rep_seed(0, rep, 3)).gamma(0.001, 1.0)
-            for rep in range(50)
-        ]
+        draws = _block_rng(0, 0, 3).gamma(0.001, 1.0, size=50).tolist()
         want = [1.0 / g if g > 0.0 else math.inf for g in draws]
         assert seen == [want]
 
