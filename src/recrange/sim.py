@@ -4,8 +4,11 @@ Every stream is a Philox counter stream (derive_rep_seed): one key per
 (master seed, record count), and one index as the top word of the counter.
 Runs split the repetitions into fixed blocks of _BLOCK_REPS, whatever the
 worker count, and hand each block to one task, so results are bit-identical
-no matter how the blocks are scheduled; blocks are reduced strictly in index
-order.
+no matter how the blocks are scheduled. A block returns one row of values per
+cell (an estimator, or an interval's coverage or length), and a record
+count's blocks are joined in index order, so each cell's repetitions are one
+contiguous row. Every reported mean is one pairwise sum of such a row, in
+the order numpy sums the same values as a strided column.
 
 In a point study every repetition owns the stream at its own index. A block
 keeps one generator and moves its counter to each repetition in turn; a
@@ -75,23 +78,28 @@ _cell_moments = functools.lru_cache(maxsize=256)(analytic_moments)
 def derive_rep_seed(seed: int, rep: int, stream: int = 0) -> np.random.Philox:
     """Counter-keyed substream number rep, as a Philox bit generator.
 
-    The key is SeedSequence(seed, spawn_key=(stream,)).generate_state(2,
-    np.uint64), one per (seed, stream); rep is the top word of Philox's
-    256-bit counter, [0, 0, 0, rep], so each index owns 2**192 blocks of
-    four output words that no other index of the stream reaches (Salmon et
-    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Any subset
-    of indices can be produced in any order or process. At record count n,
-    default_rng(derive_rep_seed(seed, rep, n)) is the stream of a point
-    study's repetition rep, and of an interval study's block rep: its
-    repetitions rep * _BLOCK_REPS onwards, up to _BLOCK_REPS of them.
+    The generator is Philox(SeedSequence(seed, spawn_key=(stream,)),
+    counter=[0, 0, 0, rep]) and carries that SeedSequence as its seed_seq.
+    Philox takes its key from it, generate_state(2, np.uint64), one key per
+    (seed, stream). rep is the top word of the 256-bit counter, passed as a
+    uint64 array (numpy rounds a list's ints above 2**63 through a float),
+    so each index owns 2**192 blocks of four output words that no other
+    index of the stream reaches (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC'11). Any subset of indices can be produced in any
+    order or process. At record count n, default_rng(derive_rep_seed(seed,
+    rep, n)) is the stream of a point study's repetition rep, and of an
+    interval study's block rep: its repetitions rep * _BLOCK_REPS onwards,
+    up to _BLOCK_REPS of them.
     """
     for name, value in (("seed", seed), ("stream", stream)):
         if value < 0:
             raise DomainError(f"{name} must be nonnegative, got {value!r}")
     if not 0 <= rep < 2**64:
         raise DomainError(f"rep must be in [0, 2**64), got {rep!r}")
-    key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
-    return np.random.Philox(key=key, counter=np.array([0, 0, 0, rep], dtype=np.uint64))
+    return np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(stream,)),
+        counter=np.array([0, 0, 0, rep], dtype=np.uint64),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +110,11 @@ class SimConfig:
     run over the same repetition budget. estimators and alpha_list select
     what run_point_sim and run_interval_sim compute; interval_kinds names
     constructions as intervals.interval does (hpd_hpm is the closed form at
-    the exact-HPD length) and defaults to equal tails only. workers runs the
-    study's fixed blocks of repetitions on that many processes, at most one
-    per usable CPU and one per block, without changing any output bit.
+    the exact-HPD length) and defaults to equal tails only. These four keep
+    each entry once, in the order first given, so a repeat adds no rows.
+    workers runs the study's fixed blocks of repetitions on that many
+    processes, at most one per usable CPU and one per block, without
+    changing any output bit.
     """
 
     delta_true: float
@@ -129,7 +139,7 @@ class SimConfig:
         ns = self.n_records
         if isinstance(ns, int):
             ns = (ns,)
-        ns = tuple(int(n) for n in ns)
+        ns = tuple(dict.fromkeys(int(n) for n in ns))
         if not ns:
             raise DomainError("n_records must not be empty")
         if any(n < 2 for n in ns):
@@ -141,16 +151,14 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
-        object.__setattr__(
-            self, "estimators", tuple(EstimatorId(e) for e in self.estimators)
-        )
+        estimators = dict.fromkeys(map(EstimatorId, self.estimators))
+        object.__setattr__(self, "estimators", tuple(estimators))
         alphas = tuple(float(a) for a in self.alpha_list)
         for alpha in alphas:
             _check_alpha(alpha)
-        object.__setattr__(self, "alpha_list", alphas)
-        object.__setattr__(
-            self, "interval_kinds", tuple(IntervalKind(k) for k in self.interval_kinds)
-        )
+        object.__setattr__(self, "alpha_list", tuple(dict.fromkeys(alphas)))
+        kinds = dict.fromkeys(map(IntervalKind, self.interval_kinds))
+        object.__setattr__(self, "interval_kinds", tuple(kinds))
         if self.workers < 1:
             raise DomainError(f"workers must be positive, got {self.workers!r}")
 
@@ -288,12 +296,12 @@ def _point_block(
     a: float,
     b: float,
 ) -> np.ndarray:
-    """Estimates for repetitions lo..hi-1, one row per repetition."""
+    """Estimates for repetitions lo..hi-1, one row per estimator."""
     last, r = _sample_block(n, seed, lo, hi, delta)
     s, A = a + n - 1.0, b + r  # the posterior of every repetition
-    out = np.empty((hi - lo, len(estimators)))
+    out = np.empty((len(estimators), hi - lo))
     for j, est in enumerate(estimators):
-        out[:, j] = _estimate(est, n, s, last=last, r=r, A=A)
+        out[j] = _estimate(est, n, s, last=last, r=r, A=A)
     return out
 
 
@@ -306,7 +314,10 @@ def _interval_block(
     a: float,
     b: float,
 ) -> np.ndarray:
-    """(covered, length) pairs for repetitions lo..hi-1, one whole block.
+    """Coverage and length rows of every cell for repetitions lo..hi-1.
+
+    The result has shape (cells, 2, hi - lo): per cell a row of 0/1 coverage
+    flags, then a row of lengths, over one whole block of repetitions.
 
     The block, lo // _BLOCK_REPS, draws from the stream of
     default_rng(derive_rep_seed(seed, block, n)): first its k = hi - lo
@@ -321,13 +332,13 @@ def _interval_block(
         r = delta * rng.standard_gamma(n - 1.0, size=k)
     _check_block(n, delta, None, r, (a, b))
     s, A = a + n - 1.0, b + r
-    out = np.empty((k, len(cells), 2))
+    out = np.empty((len(cells), 2, k))
     hpd: dict = {}  # alpha -> (cell indices, kinds) of its HPD cells
     for j, (kind, alpha) in enumerate(cells):
         if kind is IntervalKind.EQUAL_TAILS:
             lower, upper, _ = _equal_tails_endpoints(s, A, alpha)
-            out[:, j, 0] = (lower <= delta) & (delta <= upper)
-            out[:, j, 1] = upper - lower
+            out[j, 0] = (lower <= delta) & (delta <= upper)
+            out[j, 1] = upper - lower
         else:
             js, kinds = hpd.setdefault(alpha, ([], []))
             js.append(j)
@@ -339,8 +350,8 @@ def _interval_block(
         post = PosteriorParams(s=s, A=A_i)
         for alpha, (js, kinds) in hpd.items():
             for j, iv in zip(js, _intervals(kinds, post, alpha)):
-                out[i, j, 0] = 1.0 if iv.lower <= delta_i <= iv.upper else 0.0
-                out[i, j, 1] = iv.length
+                out[j, 0, i] = 1.0 if iv.lower <= delta_i <= iv.upper else 0.0
+                out[j, 1, i] = iv.length
     return out
 
 
@@ -359,8 +370,9 @@ def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
     whatever the worker count, so no task crosses a block boundary. Every
     task of the study goes to one pool of at most workers processes, capped
     at the usable CPUs, since more processes only compete for them, and at
-    the tasks. The result holds one array per record count, rows in
-    repetition order.
+    the tasks. The result holds one C-contiguous array per record count,
+    each block's output joined along the last axis, the repetitions, in
+    index order.
     """
     bounds = [
         (lo, min(lo + _BLOCK_REPS, config.reps))
@@ -380,7 +392,9 @@ def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
             futures = [pool.submit(block, *task) for task in tasks]
             blocks = [f.result() for f in futures]  # submission order == index order
     k = len(bounds)
-    return [np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)]
+    return [
+        np.concatenate(blocks[i : i + k], axis=-1) for i in range(0, len(blocks), k)
+    ]
 
 
 def run_point_sim(config: SimConfig) -> SimResult:
@@ -406,15 +420,19 @@ def run_point_sim(config: SimConfig) -> SimResult:
     )
     rows: list[PointRow] = []
     for n, estimates in zip(config.n_records, per_n):
+        # one row per estimator, summed pairwise over reps: the bits of the
+        # strided column's .mean(), which a sum over axis 0 would not keep
         errors = estimates - config.delta_true
-        for j, est in enumerate(config.estimators):
+        means = np.add.reduce(estimates, axis=-1) / config.reps
+        mses = np.add.reduce(np.square(errors, out=errors), axis=-1) / config.reps
+        for est, mean, mse in zip(config.estimators, means.tolist(), mses.tolist()):
             moments = _cell_moments(est, config.delta_true, n, config.prior)
             rows.append(
                 PointRow(
                     estimator_id=est,
                     n=n,
-                    average_estimate=float(estimates[:, j].mean()),
-                    empirical_mse=float((errors[:, j] ** 2).mean()),
+                    average_estimate=mean,
+                    empirical_mse=mse,
                     analytic_mean=moments.mean,
                     analytic_mse=moments.mse,
                 )
@@ -445,14 +463,15 @@ def run_interval_sim(config: SimConfig) -> SimResult:
     )
     rows: list[IntervalRow] = []
     for n, stats in zip(config.n_records, per_n):
-        for j, (kind, alpha) in enumerate(cells):
+        means = (np.add.reduce(stats, axis=-1) / config.reps).tolist()
+        for (kind, alpha), (coverage, length) in zip(cells, means):
             rows.append(
                 IntervalRow(
                     kind=kind,
                     n=n,
                     alpha=alpha,
-                    empirical_coverage=float(stats[:, j, 0].mean()),
-                    mean_length=float(stats[:, j, 1].mean()),
+                    empirical_coverage=coverage,
+                    mean_length=length,
                 )
             )
     return SimResult(config=config, interval_rows=tuple(rows))

@@ -83,6 +83,8 @@ class TestSeedDerivation:
             state = bits.state["state"]
             assert state["counter"].tolist() == [0, 0, 0, rep]
             assert state["key"].tolist() == key.tolist()
+            # the key comes from the seed sequence that the generator keeps
+            assert (bits.seed_seq.entropy, bits.seed_seq.spawn_key) == (5, (4,))
 
     @pytest.mark.parametrize(
         "seed, rep, stream",
@@ -199,6 +201,31 @@ class TestSimConfig:
         # numpy seed sequences take no negative entropy
         with pytest.raises(DomainError, match="seed must be nonnegative"):
             SimConfig(delta_true=1.0, n_records=4, reps=3, seed=-1, prior=PRIOR)
+
+    def test_repeats_are_kept_once_in_the_order_first_given(self):
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(5, 3, 5.0, 3), reps=3, seed=0, prior=PRIOR,
+            estimators=("bayes_squared", EstimatorId.MLE_URR, "bayes_squared"),
+            alpha_list=(0.5, 0.1, 0.5),
+            interval_kinds=("hpd_exact", "equal_tails", IntervalKind.HPD_EXACT),
+        )
+        assert cfg.n_records == (5, 3)
+        assert cfg.estimators == (EstimatorId.BAYES_SQUARED, EstimatorId.MLE_URR)
+        assert cfg.alpha_list == (0.5, 0.1)
+        assert cfg.interval_kinds == (IntervalKind.HPD_EXACT, IntervalKind.EQUAL_TAILS)
+
+    def test_repeats_add_no_rows(self):
+        base = dict(delta_true=1.0, reps=20, seed=0, prior=PRIOR)
+        once = dict(
+            n_records=(3,), estimators=("mle_urr",), alpha_list=(0.1,),
+            interval_kinds=("equal_tails",),
+        )
+        twice = {key: value * 2 for key, value in once.items()}
+        studies = ((run_point_sim, "point_rows"), (run_interval_sim, "interval_rows"))
+        for run, rows in studies:
+            got = getattr(run(SimConfig(**base, **twice)), rows)
+            assert len(got) == 1
+            assert got == getattr(run(SimConfig(**base, **once)), rows)
 
 
 class TestPointSim:
@@ -686,7 +713,7 @@ class TestBlockPath:
             last, r = sm.values[-1], sm.range
             A = b + r
             want = [last / n, r / (n - 1), A / (s + 1), A / (s - 1), 2 * A / q]
-            assert got[rep].tolist() == want
+            assert got[:, rep].tolist() == want
 
     def test_bad_prior_scale_names_the_prior(self):
         with pytest.raises(DomainError) as got:
@@ -746,6 +773,79 @@ class TestBlockPath:
         draws = _block_rng(0, 0, 3).gamma(0.001, 1.0, size=50).tolist()
         want = [1.0 / g if g > 0.0 else math.inf for g in draws]
         assert seen == [want]
+
+
+class TestAggregation:
+    """Rows against per-column .mean() over the concatenated block outputs.
+
+    A study sums each cell's repetitions as one contiguous row. numpy sums a
+    row pairwise in the order it sums the same values as a strided column,
+    so the rows keep the bits of the column means; a sum over axis 0 of the
+    (repetitions, cells) array differs in the last bits.
+    """
+
+    BLOCK, REPS = 128, 300  # three blocks per record count, the last short
+
+    @pytest.fixture(autouse=True)
+    def three_blocks(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_REPS", self.BLOCK)
+
+    def _blocks(self, block, cfg, n, *args):
+        # the study's block outputs, repetitions moved to the first axis
+        outputs = [
+            block(n, cfg.seed, lo, min(lo + self.BLOCK, cfg.reps), *args)
+            for lo in range(0, cfg.reps, self.BLOCK)
+        ]
+        return np.concatenate([np.moveaxis(out, -1, 0) for out in outputs])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_rows_are_the_column_means(self, pool_log, workers):
+        cfg = SimConfig(
+            delta_true=1.5, n_records=(3, 8), reps=self.REPS, seed=13, prior=PRIOR,
+            estimators=tuple(e for e in EstimatorId if e is not EstimatorId.MLE_SAMPLE),
+            workers=workers,
+        )
+        got = [
+            (r.estimator_id, r.n, r.average_estimate, r.empirical_mse)
+            for r in run_point_sim(cfg).point_rows
+        ]
+        want = []
+        for n in cfg.n_records:
+            estimates = self._blocks(
+                sim._point_block, cfg, n, cfg.delta_true, cfg.estimators,
+                cfg.prior.a, cfg.prior.b,
+            )
+            errors = estimates - cfg.delta_true
+            for j, est in enumerate(cfg.estimators):
+                mean, mse = estimates[:, j].mean(), (errors[:, j] ** 2).mean()
+                want.append((est, n, float(mean), float(mse)))
+        assert got == want
+        assert len(pool_log.submitted) == (6 if workers > 1 else 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interval_rows_are_the_column_means(self, pool_log, workers):
+        cfg = SimConfig(
+            delta_true=1.0, n_records=(3, 6), reps=self.REPS, seed=13,
+            prior=PriorParams(a=3.0, b=4.0), alpha_list=(0.1, 0.5),
+            interval_kinds=(IntervalKind.EQUAL_TAILS, IntervalKind.HPD_EXACT),
+            workers=workers,
+        )
+        cells = [(k, alpha) for k in cfg.interval_kinds for alpha in cfg.alpha_list]
+        got = [
+            (r.kind, r.n, r.alpha, r.empirical_coverage, r.mean_length)
+            for r in run_interval_sim(cfg).interval_rows
+        ]
+        want = []
+        for n in cfg.n_records:
+            stats = self._blocks(
+                sim._interval_block, cfg, n, tuple(cells), cfg.prior.a, cfg.prior.b
+            )
+            for j, (kind, alpha) in enumerate(cells):
+                coverage, length = stats[:, j, 0].mean(), stats[:, j, 1].mean()
+                want.append((kind, n, alpha, float(coverage), float(length)))
+        assert got == want
+        assert len(pool_log.submitted) == (6 if workers > 1 else 0)
+
 
 def test_import_leaves_the_process_pool_unloaded(tmp_path):
     # only a study that starts a pool imports concurrent.futures.process, and
