@@ -7,6 +7,8 @@ can catch one base class. Subclasses also inherit the matching builtin
 
 from __future__ import annotations
 
+import operator
+
 __all__ = [
     "RecRangeError",
     "DomainError",
@@ -58,3 +60,19 @@ class CapExhaustedError(RecRangeError, RuntimeError):
         super().__init__(message)
         self.partial = partial  # RecordSummary of what was found, or None
         self.draws = draws
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int of at least least, or DomainError.
+
+    The one check of every record count, repetition count, seed, stream
+    index and worker count: it takes what operator.index takes (int and the
+    numpy integers), but not bool, and no float, however integral.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f">= {least}")
+        raise DomainError(f"{name} must be {bound}, got {value!r}")
+    return value

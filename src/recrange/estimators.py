@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     InsufficientRecordsError,
     UnsupportedEstimatorError,
+    _count,
 )
 from .model import PosteriorParams, PriorParams, posterior_from
 from .records import RecordSummary
@@ -91,26 +92,28 @@ _TABLE: dict[EstimatorId, tuple[str, Callable[..., float]]] = {
 }
 
 
-def _check_last(last: float, n: int) -> None:
+def _check_last(last: float, n) -> int:
     if not (math.isfinite(last) and last > 0.0):
         raise DomainError(f"the last record value must be positive, got {last!r}")
-    if n < 1:
-        raise DomainError(f"record count must be at least 1, got {n!r}")
+    return _count("n", n, 1)
 
 
-def _check_range(r: float, n: int) -> None:
+def _check_range(r: float, n) -> int:
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"record range must be positive, got {r!r}")
+    n = _count("n", n, 1)
     if n < 2:
         raise InsufficientRecordsError("range-based MLE needs at least 2 records")
+    return n
 
 
-# Per statistic: the one check of its scalar value with n records (a
-# PosteriorParams checks its own A), and how a rule reads it off (summary, post)
+# Per statistic: the one check of its scalar value with n records, which
+# returns n as an int (a PosteriorParams checks its own A, and the Bayes
+# divisors read no n), and how a rule reads it off (summary, post)
 _STATISTICS = {
     "last": (_check_last, lambda summary, post: summary.values[-1]),
     "r": (_check_range, lambda summary, post: summary.range),
-    "A": (lambda A, n: None, lambda summary, post: post.A),
+    "A": (lambda A, n: n, lambda summary, post: post.A),
 }
 
 
@@ -124,7 +127,7 @@ def _estimate(estimator: EstimatorId, n, s, **statistics):
 def _checked(estimator: EstimatorId, value: float, n, post) -> float:
     statistic, divisor = _TABLE[estimator]
     check, _ = _STATISTICS[statistic]
-    check(value, n)
+    n = check(value, n)
     return value / divisor(n, None if post is None else post.s)
 
 
@@ -210,8 +213,7 @@ def analytic_moments(
     estimator = EstimatorId(estimator)
     if not (math.isfinite(delta_ref) and delta_ref > 0.0):
         raise DomainError(f"reference scale must be positive, got {delta_ref!r}")
-    if n < 2:
-        raise DomainError(f"moments need n >= 2 records, got {n!r}")
+    n = _count("n", n, 2)
     if estimator is EstimatorId.MLE_SAMPLE:
         raise UnsupportedEstimatorError(
             "mle_sample has no closed-form record-based moments"

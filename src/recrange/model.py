@@ -16,7 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePosteriorError, DomainError, InsufficientRecordsError
+from .errors import (
+    DegeneratePosteriorError,
+    DomainError,
+    InsufficientRecordsError,
+    _count,
+)
 from .records import RecordSummary
 from .specfun import _log_mass, ln_gamma
 
@@ -90,8 +95,7 @@ def range_pdf(r: float, n: int, delta: float) -> float:
     In the formula r^(n-2) e^(-r/delta) / ((n-2)! delta^(n-1)); evaluated
     in log space except at r = 0, where only n = 2 has positive density.
     """
-    if n < 2:
-        raise DomainError(f"the range of n records needs n >= 2, got {n!r}")
+    n = _count("n", n, 2)
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"scale delta must be positive, got {delta!r}")
     if math.isnan(r) or r < 0.0:

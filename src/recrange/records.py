@@ -5,17 +5,21 @@ current record holder, so for the record times T(1) = 1 and
 T(n+1) = min{j > T(n) : X_j >= X_{T(n)}}; ties refresh the record. Under an
 exponential model the gaps between successive record values are again
 exponential, which the direct sampler exploits.
+
+numpy loads only when something samples: the two samplers import it on
+their first call, so extracting and truncating records never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .errors import CapExhaustedError, DomainError, InsufficientRecordsError, _count
 
-from .errors import CapExhaustedError, DomainError, InsufficientRecordsError
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RecordSummary",
@@ -114,7 +118,8 @@ def record_range_sequence(summary: RecordSummary) -> tuple[float, ...]:
 
 def truncate(summary: RecordSummary, n: int) -> RecordSummary:
     """Summary restricted to the first n records."""
-    if not 1 <= n <= summary.n:
+    n = _count("n", n, 1)
+    if n > summary.n:
         raise InsufficientRecordsError(
             f"cannot keep {n} records out of {summary.n}"
         )
@@ -133,11 +138,10 @@ def _direct_values(delta: float, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.exponential(scale=delta, size=n).cumsum()
 
 
-def _check_sampler(delta: float, n: int) -> None:
+def _check_sampler(delta: float, n) -> int:
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"scale delta must be positive, got {delta!r}")
-    if n < 2:
-        raise DomainError(f"record sampling needs n >= 2, got {n!r}")
+    return _count("n", n, 2)
 
 
 def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
@@ -146,7 +150,9 @@ def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     Skips simulating the underlying series entirely, so the record times are
     synthetic placeholders.
     """
-    _check_sampler(delta, n)
+    import numpy as np
+
+    n = _check_sampler(delta, n)
     rng = np.random.default_rng(seed)
     values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
@@ -164,9 +170,10 @@ def sample_records_stream(
     late records have infinite mean, hence the explicit draw cap; hitting it
     raises CapExhaustedError carrying the partial summary.
     """
-    _check_sampler(delta, n)
-    if cap < 1:
-        raise DomainError(f"the draw cap must be positive, got {cap!r}")
+    import numpy as np
+
+    n = _check_sampler(delta, n)
+    cap = _count("the draw cap", cap, 1)
     rng = np.random.default_rng(seed)
     # values are drawn a chunk at a time only as the scan reaches them, so a
     # scan that stops at n records leaves the rest of the stream undrawn

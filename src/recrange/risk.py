@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .model import PriorParams
 
 __all__ = [
@@ -69,11 +69,6 @@ class LinearEstimator:
             raise DomainError(f"m and d must be finite, got {self.m!r}, {self.d!r}")
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise DomainError(f"linear range rules need n >= 2 records, got {n!r}")
-
-
 def _bracket(est: LinearEstimator, n: int) -> tuple[float, float]:
     # delta-free part of the scaled risk and the recurring bias slope
     k = n - 1
@@ -88,7 +83,7 @@ def risk_linear(
     loss: LossWeight = LossWeight.SCALED,
 ) -> float:
     """Risk of m*r + d at a fixed true scale, under either loss weighting."""
-    _check_n(n)
+    n = _count("n", n, 2)
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"true scale delta must be positive, got {delta!r}")
     loss = LossWeight(loss)
@@ -112,7 +107,7 @@ def bayes_risk_linear(
     E(1/delta^2) = a(a+1)/b^2, so b must be positive; the unscaled loss
     instead needs E(delta) and E(delta^2), hence a > 2.
     """
-    _check_n(n)
+    n = _count("n", n, 2)
     loss = LossWeight(loss)
     a, b = prior.a, prior.b
     if b == 0.0:
@@ -145,7 +140,7 @@ def r1_r2_gap(k: float, n: int, b: float) -> float:
     """
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"path parameter k must be positive, got {k!r}")
-    _check_n(n)
+    n = _count("n", n, 2)
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError(f"prior scale b must be positive, got {b!r}")
     rule = LinearEstimator(m=k / (1.0 + k * n), d=k * b / (1.0 + k * n))
@@ -162,7 +157,7 @@ def classify_admissible(est: LinearEstimator, n: int) -> AdmissibilityClass:
     tolerance) with d > 0. Everything else falls outside the theorem's
     reach; outside does not mean inadmissible, only unclassified.
     """
-    _check_n(n)
+    n = _count("n", n, 2)
     if est.d <= 0.0:
         return AdmissibilityClass.OUTSIDE_THEOREM
     boundary = 1.0 / n

@@ -21,6 +21,10 @@ Every equal-tails interval and every record rule, one (statistic, divisor)
 entry of the estimators' table, depends on nothing else, so each is then
 evaluated once per block on those arrays. The HPD kinds are still solved one
 repetition at a time.
+
+numpy loads only when something samples: derive_rep_seed, the block code
+and run_*_sim import it where they use it, so importing this module, or
+reproduce_table1, never loads it.
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import DomainError, InsufficientRecordsError
+from .errors import DomainError, InsufficientRecordsError, _count
 from .estimators import (
     EstimatorId,
     _estimate,
@@ -49,6 +52,9 @@ from .intervals import (
 )
 from .model import PosteriorParams, PriorParams, posterior_from
 from .records import extract_upper_records, truncate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimConfig",
@@ -91,10 +97,11 @@ def derive_rep_seed(seed: int, rep: int, stream: int = 0) -> np.random.Philox:
     interval study's block rep: its repetitions rep * _BLOCK_REPS onwards,
     up to _BLOCK_REPS of them.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if value < 0:
-            raise DomainError(f"{name} must be nonnegative, got {value!r}")
-    if not 0 <= rep < 2**64:
+    import numpy as np
+
+    seed, stream = _count("seed", seed, 0), _count("stream", stream, 0)
+    rep = _count("rep", rep, 0)
+    if rep >= 2**64:
         raise DomainError(f"rep must be in [0, 2**64), got {rep!r}")
     return np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(stream,)),
@@ -136,21 +143,19 @@ class SimConfig:
             raise DomainError(
                 f"true scale must be positive, got {self.delta_true!r}"
             )
-        ns = self.n_records
-        if isinstance(ns, int):
-            ns = (ns,)
-        ns = tuple(dict.fromkeys(int(n) for n in ns))
+        try:
+            ns = tuple(self.n_records)
+        except TypeError:  # a single record count
+            ns = (self.n_records,)
+        ns = tuple(dict.fromkeys(_count("record count", n, 2) for n in ns))
         if not ns:
             raise DomainError("n_records must not be empty")
-        if any(n < 2 for n in ns):
-            raise DomainError(f"every record count must be >= 2, got {ns!r}")
         object.__setattr__(self, "n_records", ns)
-        if not 1 <= self.reps < 2**64:
+        object.__setattr__(self, "reps", _count("reps", self.reps, 1))
+        if self.reps >= 2**64:
             # a repetition's index is one 64-bit word of its stream's counter
             raise DomainError(f"reps must be in [1, 2**64), got {self.reps!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         estimators = dict.fromkeys(map(EstimatorId, self.estimators))
         object.__setattr__(self, "estimators", tuple(estimators))
         alphas = tuple(float(a) for a in self.alpha_list)
@@ -159,8 +164,7 @@ class SimConfig:
         object.__setattr__(self, "alpha_list", tuple(dict.fromkeys(alphas)))
         kinds = dict.fromkeys(map(IntervalKind, self.interval_kinds))
         object.__setattr__(self, "interval_kinds", tuple(kinds))
-        if self.workers < 1:
-            raise DomainError(f"workers must be positive, got {self.workers!r}")
+        object.__setattr__(self, "workers", _count("workers", self.workers, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,6 +237,8 @@ def _sample_block(
     bounded (_BUFFER_ROWS, _BUFFER_VALUES), whatever the block's size, and
     the block fills it once per range of that many repetitions.
     """
+    import numpy as np
+
     k = hi - lo
     lasts, ranges = np.empty(k), np.empty(k)
     rows = min(k, _BUFFER_ROWS, max(1, _BUFFER_VALUES // n))
@@ -297,6 +303,8 @@ def _point_block(
     b: float,
 ) -> np.ndarray:
     """Estimates for repetitions lo..hi-1, one row per estimator."""
+    import numpy as np
+
     last, r = _sample_block(n, seed, lo, hi, delta)
     s, A = a + n - 1.0, b + r  # the posterior of every repetition
     out = np.empty((len(estimators), hi - lo))
@@ -324,6 +332,8 @@ def _interval_block(
     scales from the inverted-gamma prior (a, b), then their k record ranges,
     r = delta * Gamma(n - 1), the range of n records at scale delta.
     """
+    import numpy as np
+
     k = hi - lo
     rng = np.random.default_rng(derive_rep_seed(seed, lo // _BLOCK_REPS, n))
     # out-of-range draws are left to _check_block, which names their source
@@ -374,6 +384,8 @@ def _run_blocks(block, config: SimConfig, *args) -> list[np.ndarray]:
     each block's output joined along the last axis, the repetitions, in
     index order.
     """
+    import numpy as np
+
     bounds = [
         (lo, min(lo + _BLOCK_REPS, config.reps))
         for lo in range(0, config.reps, _BLOCK_REPS)
@@ -404,6 +416,8 @@ def run_point_sim(config: SimConfig) -> SimResult:
     empirical MSE (1/reps) * sum (estimate - delta_true)^2, next to the
     closed-form mean and MSE where those exist.
     """
+    import numpy as np
+
     if not config.estimators:
         raise DomainError("point simulation needs at least one estimator")
     if EstimatorId.MLE_SAMPLE in config.estimators:
@@ -447,6 +461,8 @@ def run_interval_sim(config: SimConfig) -> SimResult:
     for a level-(1 - alpha) credible interval this is 1 - alpha in
     expectation under the prior.
     """
+    import numpy as np
+
     if not config.alpha_list:
         raise DomainError("interval simulation needs at least one alpha")
     if not config.interval_kinds:

@@ -204,7 +204,7 @@ class TestSimConfig:
 
     def test_repeats_are_kept_once_in_the_order_first_given(self):
         cfg = SimConfig(
-            delta_true=1.0, n_records=(5, 3, 5.0, 3), reps=3, seed=0, prior=PRIOR,
+            delta_true=1.0, n_records=(5, 3, np.int64(5), 3), reps=3, seed=0, prior=PRIOR,
             estimators=("bayes_squared", EstimatorId.MLE_URR, "bayes_squared"),
             alpha_list=(0.5, 0.1, 0.5),
             interval_kinds=("hpd_exact", "equal_tails", IntervalKind.HPD_EXACT),
