@@ -7,12 +7,18 @@ exponential model the gaps between successive record values are again
 exponential, which the direct sampler exploits.
 
 numpy loads only when something samples: the two samplers import it on
-their first call, so extracting and truncating records never loads it.
+their first call, so extracting and truncating records never loads it. An
+exact one-dimensional numpy array of native-order floats or integers is
+scanned through its buffer, as Python floats, and the scan still never
+imports numpy: it finds the ndarray type in sys.modules, where the caller
+who made the array has already put it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,6 +38,12 @@ __all__ = [
 
 # numpy draws are chunked so the stream sampler is not a per-value Python loop
 _STREAM_CHUNK = 256
+
+# buffer formats that memoryview iterates as Python numbers: numpy's
+# native-order integers, float32 and float64. float16 ("e"), long double and
+# byte-swapped dtypes such as >f8 are left to numpy, since memoryview cannot
+# unpack them on every supported Python
+_SCAN_FORMATS = frozenset("bBhHiIlLqQfd")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +95,13 @@ class RecordSummary:
 def _upper_records(series, n: int | None = None) -> RecordSummary:
     # The record rule, T(1) = 1 and T(k+1) = min{j > T(k) : x_j >= x_T(k)}, in
     # one pass over an iterable; it stops after n records when n is given.
+    np = sys.modules.get("numpy")
+    if np is not None and type(series) is np.ndarray and series.ndim == 1:
+        # an exact ndarray only: a subclass such as MaskedArray may give
+        # items that differ from its buffer
+        view = memoryview(series)
+        if view.format in _SCAN_FORMATS:
+            series = view
     values: list[float] = []
     times: list[int] = []
     current = -math.inf
@@ -144,16 +163,24 @@ def _check_sampler(delta: float, n) -> int:
     return _count("n", n, 2)
 
 
+def _rng(seed) -> np.random.Generator:
+    # a seed that is a number is a count; any other seed numpy takes (None, a
+    # generator, a bit generator, a SeedSequence, a sequence) passes as it is
+    import numpy as np
+
+    if isinstance(seed, numbers.Number):
+        seed = _count("seed", seed, 0)
+    return np.random.default_rng(seed)
+
+
 def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     """Draw n record values directly as a cumulative sum of Exp(delta) gaps.
 
     Skips simulating the underlying series entirely, so the record times are
     synthetic placeholders.
     """
-    import numpy as np
-
     n = _check_sampler(delta, n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
         values=values, times=tuple(range(1, n + 1)), times_synthetic=True
@@ -174,7 +201,7 @@ def sample_records_stream(
 
     n = _check_sampler(delta, n)
     cap = _count("the draw cap", cap, 1)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     # values are drawn a chunk at a time only as the scan reaches them, so a
     # scan that stops at n records leaves the rest of the stream undrawn
     draws = (

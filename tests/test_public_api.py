@@ -74,6 +74,8 @@ COUNTS = {
     "bayes_risk_linear n": (lambda v: recrange.bayes_risk_linear(RULE, v, PRIOR), 2),
     "r1_r2_gap n": (lambda v: recrange.r1_r2_gap(0.5, v, 5.0), 2),
     "classify_admissible n": (lambda v: recrange.classify_admissible(RULE, v), 2),
+    "sample_records_direct seed": (lambda v: recrange.sample_records_direct(2.0, 3, v), 0),
+    "sample_records_stream seed": (lambda v: recrange.sample_records_stream(2.0, 3, v), 0),
     "derive_rep_seed seed": (lambda v: recrange.derive_rep_seed(v, 0, 3), 0),
     "derive_rep_seed rep": (lambda v: recrange.derive_rep_seed(0, v, 3), 0),
     "derive_rep_seed stream": (lambda v: recrange.derive_rep_seed(0, 0, v), 0),
@@ -83,6 +85,11 @@ COUNTS = {
     "SimConfig seed": (lambda v: _config(seed=v), 0),
     "SimConfig workers": (lambda v: _config(workers=v), 1),
 }
+
+
+# the samplers count a seed only when it is a number: any other seed,
+# None included, goes to numpy.random.default_rng as it is
+NUMBER_SEEDS = {"sample_records_direct seed", "sample_records_stream seed"}
 
 
 class _Index:
@@ -98,10 +105,15 @@ class _Index:
 @pytest.mark.parametrize("entry", list(COUNTS))
 def test_counts_are_integers_of_at_least_their_bound(entry):
     call, least, *below = COUNTS[entry]
-    for value in (least, least + 1, _Index(least + 1)):
+    good = [least, least + 1]
+    bad = [float(least), least + 0.5, True, False]
+    if entry not in NUMBER_SEEDS:
+        good.append(_Index(least + 1))
+        bad += ["3", None]
+    for value in good:
         call(value)
     with pytest.raises(*below or [recrange.DomainError]):
         call(least - 1)
-    for value in (float(least), least + 0.5, "3", None, True, False):
+    for value in bad:
         with pytest.raises(recrange.DomainError):
             call(value)

@@ -12,6 +12,7 @@ from recrange import (
     datasets,
     extract_upper_records,
     record_range_sequence,
+    records,
     sample_records_direct,
     sample_records_stream,
     truncate,
@@ -160,6 +161,62 @@ class TestExtract:
             # nothing strictly between consecutive record times reaches the bar
             assert all(data[j - 1] < s.values[k - 1] for j in range(lo + 1, hi))
             assert data[hi - 1] >= s.values[k - 1]
+
+
+# one-decimal values, so that ties occur
+TENTHS = st.lists(st.integers(-50, 50), min_size=1, max_size=300)
+
+
+class TestBufferScan:
+    """An exact 1-D ndarray is scanned through its buffer, as its list is."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "int64"])
+    def test_native_formats_take_the_buffer_path(self, dtype):
+        assert memoryview(np.zeros(1, dtype)).format in records._SCAN_FORMATS
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "int64", ">f8", "float16"])
+    @given(tenths=TENTHS)
+    @settings(max_examples=60)
+    def test_matches_the_list_scan(self, dtype, tenths):
+        a = np.array(tenths, dtype=np.int64)
+        if dtype != "int64":
+            a = a / 10
+        a = a.astype(dtype)
+        for x in (a, a[::2]):  # contiguous, and a strided view
+            assert extract_upper_records(x) == extract_upper_records(x.tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @given(tenths=TENTHS, data=st.data())
+    @settings(max_examples=40)
+    def test_names_the_first_nonfinite_observation(self, bad, tenths, data):
+        a = np.array(tenths + [0], dtype=np.float64) / 10
+        j = data.draw(st.integers(1, len(tenths)), label="j")
+        a[j - 1] = bad
+        a[-1] = math.nan  # a later bad value is not the one named
+        with pytest.raises(DomainError, match=rf"^observation {j} is not finite"):
+            extract_upper_records(a)
+
+    def test_two_dimensional_array_scans_its_rows(self):
+        # a row is not a number, as before; only a 1-D buffer is read
+        with pytest.raises(TypeError):
+            extract_upper_records(np.ones((3, 2)))
+
+    def test_masked_array_scans_its_items(self):
+        # a masked item converts to nan, with numpy's warning, as before
+        a = np.ma.array([1.0, 2.0, 3.0], mask=[False, True, False])
+        with pytest.warns(UserWarning), pytest.raises(
+            DomainError, match=r"^observation 2 is not finite"
+        ):
+            extract_upper_records(a)
+
+    def test_subclass_scans_its_own_items(self):
+        class Doubled(np.ndarray):
+            def __getitem__(self, key):
+                return 2 * super().__getitem__(key)
+
+        a = np.array([1.0, 3.0, 2.0, 3.0]).view(Doubled)
+        s = extract_upper_records(a)
+        assert (s.values, s.times) == ((2.0, 6.0, 6.0), (1, 2, 4))
 
 
 class TestRangeSequence:
@@ -363,3 +420,18 @@ class TestStreamSampler:
             sample_records_stream(1.0, 1, seed=1)
         with pytest.raises(DomainError):
             sample_records_stream(1.0, 4, seed=1, cap=0)
+
+
+@pytest.mark.parametrize("sampler", [sample_records_direct, sample_records_stream])
+def test_seeds_that_are_not_numbers_reach_numpy_as_they_are(sampler):
+    # only a number is checked as a count; numpy takes every other seed
+    want = sampler(2.0, 3, seed=[4, 5])
+    for seed in (
+        np.array([4, 5]),
+        np.random.SeedSequence([4, 5]),
+        np.random.PCG64([4, 5]),
+        np.random.default_rng([4, 5]),
+    ):
+        assert sampler(2.0, 3, seed=seed) == want
+    assert sampler(2.0, 3, seed=np.uint8(7)) == sampler(2.0, 3, seed=7)
+    assert sampler(2.0, 3, seed=None).n == 3
