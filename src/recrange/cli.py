@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,11 +41,9 @@ from .risk import (
     r1_r2_gap,
     risk_linear,
 )
-from .sim import SimConfig, run_interval_sim, run_point_sim, reproduce_table1
+from .sim import SimConfig, run_interval_sim, run_point_sim
 
 __all__ = ["RunManifest", "build_parser", "main", "entrypoint"]
-
-SEED_ENV_VAR = "RRB_SEED"
 
 # default significant digits in table output
 _EST_FMT = ".6g"  # estimates
@@ -294,9 +291,9 @@ def _prior_from_args(args) -> PriorParams:
     return PriorParams(a=args.a, b=args.b)
 
 
-def _record_counts(args, summary) -> tuple[int, ...]:
-    """The --n selection (default: every count the data has), checked."""
-    ns = parse_n_spec(args.n) if args.n else tuple(range(2, summary.n + 1))
+def _record_counts(spec: str | None, summary) -> tuple[int, ...]:
+    """The counts of an --n spec (default: every count the data has), checked."""
+    ns = parse_n_spec(spec) if spec else tuple(range(2, summary.n + 1))
     if not ns:
         raise DomainError("no record counts selected")
     bad = [n for n in ns if n < 2]
@@ -310,13 +307,14 @@ def _record_counts(args, summary) -> tuple[int, ...]:
     return ns
 
 
-def cmd_estimate(args) -> int:
-    values, digest = read_values(args.input)
-    prior = _prior_from_args(args)
-    estimators = parse_estimators(args.estimators)
-    summary = extract_upper_records(values)
-    ns = _record_counts(args, summary)
+def _estimate_rows(values, prior, estimators, n_spec, delta_ref=None) -> list[dict]:
+    """One row per record count of n_spec: each estimator on the first n records.
 
+    With delta_ref, each estimator also gets its closed-form mean and MSE at
+    that scale, empty where they do not exist.
+    """
+    summary = extract_upper_records(values)
+    ns = _record_counts(n_spec, summary)
     sample_mean = mle_sample(values) if EstimatorId.MLE_SAMPLE in estimators else None
     rows = []
     for n in ns:
@@ -329,24 +327,31 @@ def cmd_estimate(args) -> int:
                 row[est.value] = sample_mean
             else:
                 row[est.value] = estimator_rule(est)(cut, post)
-            if args.delta_ref is not None:
+            if delta_ref is not None:
                 try:
-                    mom = analytic_moments(est, args.delta_ref, n, prior)
+                    mom = analytic_moments(est, delta_ref, n, prior)
                 except UnsupportedEstimatorError:
                     mom = None
                 row[f"{est.value}_mean"] = mom.mean if mom is not None else None
                 row[f"{est.value}_mse"] = mom.mse if mom is not None else None
         rows.append(row)
+    return rows
 
-    formats = {c: _EST_FMT for c in rows[0] if c != "n"}
+
+def cmd_estimate(args) -> int:
+    values, digest = read_values(args.input)
+    prior = _prior_from_args(args)
+    estimators = parse_estimators(args.estimators)
+    rows = _estimate_rows(values, prior, estimators, args.n, args.delta_ref)
     parameters = {
         "input": str(args.input),
         "a": args.a,
         "b": args.b,
         "estimators": [e.value for e in estimators],
-        "n": list(ns),
+        "n": [row["n"] for row in rows],
         "delta_ref": args.delta_ref,
     }
+    formats = {c: _EST_FMT for c in rows[0] if c != "n"}
     manifest = RunManifest("estimate", parameters, None, digest)
     _emit(args, rows, formats, manifest)
     return 0
@@ -365,7 +370,7 @@ def cmd_interval(args) -> int:
     alphas = parse_alpha_list(args.alpha)
     kinds = _kinds_from_flag(args.kind)
     summary = extract_upper_records(values)
-    ns = _record_counts(args, summary)
+    ns = _record_counts(args.n, summary)
 
     rows = []
     for n in ns:
@@ -399,22 +404,7 @@ def cmd_interval(args) -> int:
     return 0
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return 0
-
-
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     prior = PriorParams(a=args.a, b=args.b)
     ns = parse_n_spec(args.n)
     estimators = parse_estimators(args.estimators)
@@ -424,7 +414,7 @@ def cmd_simulate(args) -> int:
         delta_true=args.delta,
         n_records=ns,
         reps=args.reps,
-        seed=seed,
+        seed=args.seed,
         prior=prior,
         estimators=estimators,
         alpha_list=alphas,
@@ -445,7 +435,7 @@ def cmd_simulate(args) -> int:
     manifest = RunManifest(
         command="simulate",
         parameters=parameters,
-        seed=seed,
+        seed=args.seed,
         input_digest=hashlib.sha256(_compact_json(parameters).encode()).hexdigest(),
     )
 
@@ -566,17 +556,22 @@ def cmd_risk(args) -> int:
     return 0
 
 
+# the paper's Table 1: the four record estimators at n = 2..6 on one series
+_TABLE1_ESTIMATORS = (
+    EstimatorId.MLE_RECORDS,
+    EstimatorId.MLE_URR,
+    EstimatorId.BAYES_QUADRATIC,
+    EstimatorId.BAYES_SQUARED,
+)
+
+
 def cmd_reproduce(args) -> int:
     if args.input:
         values, digest = read_values(args.input)
     else:
-        values, digest = list(SAMPLE_A), _digest_values(SAMPLE_A)
-    prior = PriorParams(a=args.a, b=args.b)
-    table = reproduce_table1(values, prior)
-    by_n: dict[int, dict] = {}
-    for cell in table:
-        by_n.setdefault(cell.n, {"n": cell.n})[cell.estimator_id.value] = cell.value
-    rows = [by_n[n] for n in sorted(by_n)]
+        values, digest = SAMPLE_A, _digest_values(SAMPLE_A)
+    prior = _prior_from_args(args)
+    rows = _estimate_rows(values, prior, _TABLE1_ESTIMATORS, "2..6")
     formats = {c: _EST_FMT for c in rows[0] if c != "n"}
     parameters = {
         "table": args.table,
@@ -656,11 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", required=True, help="record counts, e.g. 4..7")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument(
-        "--seed",
-        type=int,
-        help=f"master seed (default: ${SEED_ENV_VAR} or 0)",
-    )
+    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     sim_estimators = next(
         f.default for f in fields(SimConfig) if f.name == "estimators"
     )

@@ -32,7 +32,7 @@ from .errors import (
     _count,
 )
 from .model import PosteriorParams, PriorParams, posterior_from
-from .records import RecordSummary
+from .records import RecordSummary, _not_a_number, _reject_text
 from .specfun import chi2_quantile
 
 __all__ = [
@@ -135,10 +135,16 @@ def mle_sample(data: Sequence[float]) -> float:
     """Maximum likelihood from the full series: the sample mean."""
     if len(data) == 0:
         raise DomainError("cannot average an empty series")
+    _reject_text(data)
     total = 0.0
     for j, x in enumerate(data, start=1):
+        # checked before float(), which also reads numeric text (see records)
+        try:
+            finite = math.isfinite(x)
+        except (TypeError, OverflowError) as exc:
+            raise _not_a_number(j, x, exc) from None
         x = float(x)
-        if not (math.isfinite(x) and x > 0.0):
+        if not (finite and x > 0.0):
             raise DomainError(f"observation {j} must be positive, got {x!r}")
         total += x
     return total / len(data)

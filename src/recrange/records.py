@@ -92,9 +92,30 @@ class RecordSummary:
         return self.values[-1] - self.values[0]
 
 
+def _reject_text(series) -> None:
+    # a str or bytes iterates as characters or as byte values, never numbers
+    if isinstance(series, (str, bytes, bytearray)):
+        raise DomainError(
+            f"observation 1 is not a number: {series[:1]!r}"
+            f" (the series is a {type(series).__name__})"
+        )
+
+
+def _not_a_number(j: int, x, exc: Exception) -> DomainError:
+    # the error for observation j, which math.isfinite refused with exc
+    if isinstance(exc, OverflowError):  # a number beyond the floats, as 10**400
+        return DomainError(f"observation {j} is too large for a float")
+    return DomainError(f"observation {j} is not a number: {x!r}")
+
+
 def _upper_records(series, n: int | None = None) -> RecordSummary:
     # The record rule, T(1) = 1 and T(k+1) = min{j > T(k) : x_j >= x_T(k)}, in
     # one pass over an iterable; it stops after n records when n is given.
+    # Each item is checked before float() sees it, since float() also reads
+    # numeric text; math.isfinite raises TypeError for anything but a real
+    # number (text, None, an array row) and OverflowError for an int beyond
+    # the floats.
+    _reject_text(series)
     np = sys.modules.get("numpy")
     if np is not None and type(series) is np.ndarray and series.ndim == 1:
         # an exact ndarray only: a subclass such as MaskedArray may give
@@ -105,10 +126,14 @@ def _upper_records(series, n: int | None = None) -> RecordSummary:
     values: list[float] = []
     times: list[int] = []
     current = -math.inf
+    isfinite = math.isfinite  # a local name: the loop runs once per value
     for j, x in enumerate(series, start=1):
+        try:
+            if not isfinite(x):
+                raise DomainError(f"observation {j} is not finite: {float(x)!r}")
+        except (TypeError, OverflowError) as exc:
+            raise _not_a_number(j, x, exc) from None
         x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"observation {j} is not finite: {x!r}")
         if x >= current:
             values.append(x)
             times.append(j)

@@ -23,8 +23,8 @@ evaluated once per block on those arrays. The HPD kinds are still solved one
 repetition at a time.
 
 numpy loads only when something samples: derive_rep_seed, the block code
-and run_*_sim import it where they use it, so importing this module, or
-reproduce_table1, never loads it.
+and run_*_sim import it where they use it, so importing this module never
+loads it.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, InsufficientRecordsError, _count
+from .errors import DomainError, _count
 from .estimators import (
     EstimatorId,
     _estimate,
     analytic_moments,
-    estimator_rule,
     mle_records,
     mle_urr,
 )
@@ -50,8 +49,7 @@ from .intervals import (
     _equal_tails_endpoints,
     _intervals,
 )
-from .model import PosteriorParams, PriorParams, posterior_from
-from .records import extract_upper_records, truncate
+from .model import PosteriorParams, PriorParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,20 +59,10 @@ __all__ = [
     "SimResult",
     "PointRow",
     "IntervalRow",
-    "TableRow",
     "derive_rep_seed",
     "run_point_sim",
     "run_interval_sim",
-    "reproduce_table1",
 ]
-
-_TABLE1_ESTIMATORS = (
-    EstimatorId.MLE_RECORDS,
-    EstimatorId.MLE_URR,
-    EstimatorId.BAYES_QUADRATIC,
-    EstimatorId.BAYES_SQUARED,
-)
-
 
 # the closed-form moments of one (estimator, delta_true, n, prior) cell,
 # shared by every study that asks for it again
@@ -188,15 +176,6 @@ class IntervalRow:
     alpha: float
     empirical_coverage: float
     mean_length: float
-
-
-@dataclass(frozen=True, slots=True)
-class TableRow:
-    """One deterministic estimate cell of the reference table."""
-
-    n: int
-    estimator_id: EstimatorId
-    value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -491,24 +470,3 @@ def run_interval_sim(config: SimConfig) -> SimResult:
                 )
             )
     return SimResult(config=config, interval_rows=tuple(rows))
-
-
-def reproduce_table1(data, prior: PriorParams) -> list[TableRow]:
-    """Deterministic estimate columns over n = 2..6 from one data series.
-
-    For each record-count cut the four record-based estimators are
-    evaluated on the first n records of the series.
-    """
-    summary = extract_upper_records(data)
-    if summary.n < 6:
-        raise InsufficientRecordsError(
-            f"the reference table needs 6 records, found {summary.n}"
-        )
-    rows: list[TableRow] = []
-    for n in range(2, 7):
-        cut = truncate(summary, n)
-        post = posterior_from(prior, cut)
-        for est in _TABLE1_ESTIMATORS:
-            value = estimator_rule(est)(cut, post)
-            rows.append(TableRow(n=n, estimator_id=est, value=value))
-    return rows

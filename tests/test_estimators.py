@@ -59,6 +59,35 @@ class TestMleSample:
         with pytest.raises(DomainError):
             mle_sample([1.0, -2.0])
 
+    @pytest.mark.parametrize(
+        "text", ["34", b"34", bytearray(b"34")], ids=["str", "bytes", "bytearray"]
+    )
+    def test_text_is_not_a_series(self, text):
+        with pytest.raises(DomainError, match=r"^observation 1 is not a number"):
+            mle_sample(text)
+
+    # as in test_records, plus rows of a 2-D array; dtype None is numpy's
+    # choice, "<U1" for the digits and float64 for the rows
+    NOT_NUMBERS = {
+        "digit-strings": (["3", "4"], None, 1, "is not a number"),
+        "text-item": ([0.5, 2.0, "3", 1.0], object, 3, "is not a number"),
+        "none": ([0.5, None, 1.0], object, 2, "is not a number"),
+        "huge-int": ([10**400], object, 1, "is too large for a float"),
+        "huge-negative-int": (
+            [0.5, 2.0, -(10**400)], object, 3, "is too large for a float"
+        ),
+        "rows": ([[1.0, 2.0], [3.0, 4.0]], None, 1, "is not a number"),
+    }
+
+    @pytest.mark.parametrize(
+        "items, dtype, j, says", NOT_NUMBERS.values(), ids=NOT_NUMBERS
+    )
+    def test_names_the_observation_in_a_list_and_an_array(self, items, dtype, j, says):
+        # float() reads numeric text, so each item is checked before it
+        for data in (items, np.array(items, dtype=dtype)):
+            with pytest.raises(DomainError, match=rf"^observation {j} {says}"):
+                mle_sample(data)
+
 
 class TestMleRecords:
     def test_printed_values(self):

@@ -197,9 +197,11 @@ class TestBufferScan:
             extract_upper_records(a)
 
     def test_two_dimensional_array_scans_its_rows(self):
-        # a row is not a number, as before; only a 1-D buffer is read
-        with pytest.raises(TypeError):
-            extract_upper_records(np.ones((3, 2)))
+        # a row is not a number; only a 1-D buffer is read
+        a = np.ones((3, 2))
+        for data in (a, a.tolist()):
+            with pytest.raises(DomainError, match=r"^observation 1 is not a number"):
+                extract_upper_records(data)
 
     def test_masked_array_scans_its_items(self):
         # a masked item converts to nan, with numpy's warning, as before
@@ -217,6 +219,39 @@ class TestBufferScan:
         a = np.array([1.0, 3.0, 2.0, 3.0]).view(Doubled)
         s = extract_upper_records(a)
         assert (s.values, s.times) == ((2.0, 6.0, 6.0), (1, 2, 4))
+
+
+# items that float() would read as numbers, or that make Python or numpy
+# raise their own error, as (a list, the dtype of its ndarray, the observation
+# named, what the error says about it); dtype None is numpy's choice, "<U1"
+NOT_NUMBERS = {
+    "digit-strings": (["3", "1", "4", "1"], None, 1, "is not a number"),
+    "text-item": ([0.5, 2.0, "3", 1.0], object, 3, "is not a number"),
+    "none": ([0.5, None, 1.0], object, 2, "is not a number"),
+    "huge-int": ([10**400], object, 1, "is too large for a float"),
+    "huge-negative-int": (
+        [0.5, 2.0, -(10**400)], object, 3, "is too large for a float"
+    ),
+}
+
+
+class TestNotNumbers:
+    """Each item is checked before float(), which also reads numeric text."""
+
+    @pytest.mark.parametrize(
+        "text", ["3141", b"3141", bytearray(b"3141")], ids=["str", "bytes", "bytearray"]
+    )
+    def test_text_is_not_a_series(self, text):
+        with pytest.raises(DomainError, match=r"^observation 1 is not a number"):
+            extract_upper_records(text)
+
+    @pytest.mark.parametrize(
+        "items, dtype, j, says", NOT_NUMBERS.values(), ids=NOT_NUMBERS
+    )
+    def test_names_the_observation_in_a_list_and_an_array(self, items, dtype, j, says):
+        for data in (items, np.array(items, dtype=dtype)):
+            with pytest.raises(DomainError, match=rf"^observation {j} {says}"):
+                extract_upper_records(data)
 
 
 class TestRangeSequence:

@@ -18,7 +18,6 @@ from recrange import sim
 from recrange import (
     DomainError,
     EstimatorId,
-    InsufficientRecordsError,
     IntervalKind,
     IntervalRow,
     PointRow,
@@ -27,7 +26,6 @@ from recrange import (
     RecordSummary,
     SimConfig,
     SimResult,
-    TableRow,
     chi2_quantile,
     datasets,
     derive_rep_seed,
@@ -36,24 +34,12 @@ from recrange import (
     intervals,
     mle_urr,
     posterior_from,
-    reproduce_table1,
     run_interval_sim,
     run_point_sim,
     sample_records_direct,
 )
 
 PRIOR = PriorParams(a=3.0, b=5.0)
-
-# Printed comparison table for the first bundled series under PRIOR.
-# The record-range MLE entries at n=4 and n=5 follow the estimator's
-# definition range/(n-1); the printed source repeats an adjacent column
-# at n=4, which is a transcription slip, not a different estimator.
-TABLE1 = {
-    EstimatorId.MLE_RECORDS: (2.19098642, 1.88219847, 1.81655216, 1.88274270, 1.58658848),
-    EstimatorId.MLE_URR: (4.319232, 2.791927, 2.401156, 2.337743, 1.891358),
-    EstimatorId.BAYES_QUADRATIC: (1.863846, 1.763976, 1.743353, 1.793872, 1.606310),
-    EstimatorId.BAYES_SQUARED: (3.106411, 2.645964, 2.440694, 2.391829, 2.065256),
-}
 
 
 class TestSeedDerivation:
@@ -878,18 +864,17 @@ class TestResultRows:
         cfg = dict(delta_true=1.0, n_records=3, reps=5, seed=2, prior=PRIOR)
         point = run_point_sim(SimConfig(**cfg))
         interval = run_interval_sim(SimConfig(**cfg, alpha_list=(0.1,)))
-        table = reproduce_table1(datasets.SAMPLE_A, PRIOR)
-        return point, interval, table
+        return point, interval
 
     def test_rows_are_slotted(self, results):
-        point, interval, table = results
+        point, interval = results
         rows = (
-            point, point.point_rows[0], interval.interval_rows[0], table[0],
+            point, point.point_rows[0], interval.interval_rows[0],
             point.config, point.config.prior, PosteriorParams(s=4.0, A=2.0),
             sample_records_direct(1.0, 3, 0),
         )
         classes = (
-            SimResult, PointRow, IntervalRow, TableRow,
+            SimResult, PointRow, IntervalRow,
             SimConfig, PriorParams, PosteriorParams, RecordSummary,
         )
         for row, cls in zip(rows, classes, strict=True):
@@ -897,7 +882,7 @@ class TestResultRows:
             assert not hasattr(row, "__dict__")
 
     def test_rows_stay_frozen_and_comparable(self, results):
-        point, interval, _ = results
+        point, interval = results
         row = interval.interval_rows[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             row.mean_length = 0.0
@@ -916,22 +901,3 @@ class TestResultRows:
             assert obj == dataclasses.replace(obj)
             assert obj != dataclasses.replace(obj, **{field: value})
             assert pickle.loads(pickle.dumps(obj)) == obj
-
-
-class TestReproduceTable1:
-    def test_matches_printed_columns(self):
-        rows = reproduce_table1(datasets.SAMPLE_A, PRIOR)
-        got = {(row.estimator_id, row.n): row.value for row in rows}
-        for est, wants in TABLE1.items():
-            tol = 1e-8 if est is EstimatorId.MLE_RECORDS else 1e-6
-            for n, want in zip(range(2, 7), wants):
-                assert math.isclose(got[(est, n)], want, rel_tol=tol), (est, n)
-
-    def test_covers_n_two_to_six(self):
-        rows = reproduce_table1(datasets.SAMPLE_A, PRIOR)
-        assert sorted({row.n for row in rows}) == [2, 3, 4, 5, 6]
-        assert len(rows) == 20
-
-    def test_needs_six_records(self):
-        with pytest.raises(InsufficientRecordsError):
-            reproduce_table1([5.0, 4.0, 3.0, 2.0], PRIOR)
