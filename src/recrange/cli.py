@@ -139,10 +139,9 @@ def parse_alpha_list(text: str) -> tuple[float, ...]:
         except ValueError:
             raise ParseError(f"bad alpha value: {token.strip()!r}") from None
         try:
-            _check_alpha(value)
+            out.append(_check_alpha(value))
         except DomainError as exc:
             raise ParseError(str(exc)) from None
-        out.append(value)
     return tuple(dict.fromkeys(out))
 
 
@@ -307,19 +306,24 @@ def _record_counts(spec: str | None, summary) -> tuple[int, ...]:
     return ns
 
 
+def _per_count(values, prior, n_spec):
+    # (n, the first n records, their posterior) per record count of n_spec;
+    # the counts are checked on the call, the posteriors built as iterated
+    summary = extract_upper_records(values)
+    cuts = [truncate(summary, n) for n in _record_counts(n_spec, summary)]
+    return ((cut.n, cut, posterior_from(prior, cut)) for cut in cuts)
+
+
 def _estimate_rows(values, prior, estimators, n_spec, delta_ref=None) -> list[dict]:
     """One row per record count of n_spec: each estimator on the first n records.
 
     With delta_ref, each estimator also gets its closed-form mean and MSE at
     that scale, empty where they do not exist.
     """
-    summary = extract_upper_records(values)
-    ns = _record_counts(n_spec, summary)
+    counts = _per_count(values, prior, n_spec)
     sample_mean = mle_sample(values) if EstimatorId.MLE_SAMPLE in estimators else None
     rows = []
-    for n in ns:
-        cut = truncate(summary, n)
-        post = posterior_from(prior, cut)
+    for n, cut, post in counts:
         row = {"n": n}
         for est in estimators:
             # mle_sample needs the raw series, which a record summary lacks
@@ -369,12 +373,10 @@ def cmd_interval(args) -> int:
     prior = _prior_from_args(args)
     alphas = parse_alpha_list(args.alpha)
     kinds = _kinds_from_flag(args.kind)
-    summary = extract_upper_records(values)
-    ns = _record_counts(args.n, summary)
 
-    rows = []
-    for n in ns:
-        post = posterior_from(prior, truncate(summary, n))
+    rows, ns = [], []
+    for n, _, post in _per_count(values, prior, args.n):
+        ns.append(n)
         for alpha in alphas:
             for kind, iv in zip(kinds, _intervals(kinds, post, alpha)):
                 rows.append(
@@ -397,7 +399,7 @@ def cmd_interval(args) -> int:
         "b": args.b,
         "alpha": list(alphas),
         "kind": args.kind,
-        "n": list(ns),
+        "n": ns,
     }
     manifest = RunManifest("interval", parameters, None, digest)
     _emit(args, rows, formats, manifest)

@@ -7,6 +7,8 @@ can catch one base class. Subclasses also inherit the matching builtin
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 __all__ = [
@@ -76,3 +78,34 @@ def _count(name: str, value, least: int) -> int:
         bound = {0: "nonnegative", 1: "positive"}.get(least, f">= {least}")
         raise DomainError(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def _real(name: str, value, *, above=0.0, least=None, below=None, inf=False):
+    """value as a float within its bounds, or DomainError.
+
+    The one check of every real argument: an int, a float or a numpy real
+    scalar, not bool, text, None, complex, nan, -inf or (unless inf) +inf,
+    above above (positive by default) or at least least, and below below.
+    """
+    x = value
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the floats
+            x = math.inf if value > 0 else -math.inf
+    if (x > above if least is None else x >= least) and (below is None or x < below):
+        if -math.inf < x < math.inf or (inf and x == math.inf):
+            return x
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    low = above if least is None else least
+    if below is not None:
+        bound = f"in {'(' if least is None else '['}{low:g}, {below:g})"
+    elif low == 0.0:
+        bound = "positive" if least is None else "nonnegative"
+    elif low == -math.inf:
+        bound = "finite"
+    else:
+        bound = f"{'>' if least is None else '>='} {low!r}"
+    raise DomainError(f"{name} must be {bound}, got {value!r}")

@@ -30,9 +30,10 @@ from .errors import (
     InsufficientRecordsError,
     UnsupportedEstimatorError,
     _count,
+    _real,
 )
 from .model import PosteriorParams, PriorParams, posterior_from
-from .records import RecordSummary, _not_a_number, _reject_text
+from .records import RecordSummary, _not_a_number, _series
 from .specfun import chi2_quantile
 
 __all__ = [
@@ -92,28 +93,13 @@ _TABLE: dict[EstimatorId, tuple[str, Callable[..., float]]] = {
 }
 
 
-def _check_last(last: float, n) -> int:
-    if not (math.isfinite(last) and last > 0.0):
-        raise DomainError(f"the last record value must be positive, got {last!r}")
-    return _count("n", n, 1)
-
-
-def _check_range(r: float, n) -> int:
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"record range must be positive, got {r!r}")
-    n = _count("n", n, 1)
-    if n < 2:
-        raise InsufficientRecordsError("range-based MLE needs at least 2 records")
-    return n
-
-
-# Per statistic: the one check of its scalar value with n records, which
-# returns n as an int (a PosteriorParams checks its own A, and the Bayes
-# divisors read no n), and how a rule reads it off (summary, post)
+# Per statistic: the name under which its scalar value is checked, None for
+# A (a PosteriorParams checks its own A, and the Bayes divisors read no n),
+# and how a rule reads it off (summary, post)
 _STATISTICS = {
-    "last": (_check_last, lambda summary, post: summary.values[-1]),
-    "r": (_check_range, lambda summary, post: summary.range),
-    "A": (lambda A, n: n, lambda summary, post: post.A),
+    "last": ("last record value", lambda summary, post: summary.values[-1]),
+    "r": ("record range r", lambda summary, post: summary.range),
+    "A": (None, lambda summary, post: post.A),
 }
 
 
@@ -126,18 +112,20 @@ def _estimate(estimator: EstimatorId, n, s, **statistics):
 
 def _checked(estimator: EstimatorId, value: float, n, post) -> float:
     statistic, divisor = _TABLE[estimator]
-    check, _ = _STATISTICS[statistic]
-    n = check(value, n)
+    name, _ = _STATISTICS[statistic]
+    if name is not None:
+        _real(name, value)
+        n = _count("n", n, 1)
+        if statistic == "r" and n < 2:
+            raise InsufficientRecordsError("range-based MLE needs at least 2 records")
     return value / divisor(n, None if post is None else post.s)
 
 
 def mle_sample(data: Sequence[float]) -> float:
     """Maximum likelihood from the full series: the sample mean."""
-    if len(data) == 0:
-        raise DomainError("cannot average an empty series")
-    _reject_text(data)
+    series = _series(data)
     total = 0.0
-    for j, x in enumerate(data, start=1):
+    for j, x in enumerate(series, start=1):
         # checked before float(), which also reads numeric text (see records)
         try:
             finite = math.isfinite(x)
@@ -147,7 +135,7 @@ def mle_sample(data: Sequence[float]) -> float:
         if not (finite and x > 0.0):
             raise DomainError(f"observation {j} must be positive, got {x!r}")
         total += x
-    return total / len(data)
+    return total / len(series)
 
 
 def mle_records(x_last_record: float, n: int) -> float:
@@ -217,8 +205,7 @@ def analytic_moments(
     mle_sample has none, as its record count is random, so it is rejected.
     """
     estimator = EstimatorId(estimator)
-    if not (math.isfinite(delta_ref) and delta_ref > 0.0):
-        raise DomainError(f"reference scale must be positive, got {delta_ref!r}")
+    _real("reference scale delta_ref", delta_ref)
     n = _count("n", n, 2)
     if estimator is EstimatorId.MLE_SAMPLE:
         raise UnsupportedEstimatorError(

@@ -37,7 +37,7 @@ from enum import Enum
 from statistics import NormalDist
 from typing import Sequence
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _real
 from .model import PosteriorParams, posterior_coverage
 from .specfun import _chi2_isf, _max_terms, _missed_mass, chi2_quantile
 
@@ -92,27 +92,25 @@ class CredibleInterval:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and self.lower > 0.0):
-            raise DomainError(f"lower endpoint must be positive, got {self.lower!r}")
-        if not (math.isfinite(self.upper) and self.upper >= self.lower):
-            raise DomainError(
-                f"upper endpoint must be finite and >= lower, got {self.upper!r}"
-            )
-        if not 0.0 <= self.level < 1.0:
-            raise DomainError(f"level must lie in [0, 1), got {self.level!r}")
+        _real("lower endpoint", self.lower)
+        _real("upper endpoint", self.upper, least=self.lower)
+        _real("level", self.level, least=0.0, below=1.0)
 
     @property
     def length(self) -> float:
         return self.upper - self.lower
 
 
-def _check_alpha(alpha: float) -> None:
-    # the one alpha check of the package; nan fails every comparison
-    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+def _check_alpha(alpha) -> float:
+    # the one alpha check of the package; 1 - alpha < 1 exactly when alpha
+    # exceeds 2**-54, and a non-real alpha gets the same message
+    try:
+        return _real("alpha", alpha, above=2.0**-54, below=1.0)
+    except DomainError:
         raise DomainError(
             "alpha must lie in (0, 1) and exceed 2**-54, below which 1 - alpha "
             f"rounds to 1, got {alpha!r}"
-        )
+        ) from None
 
 
 def equal_tails(post: PosteriorParams, alpha: float) -> CredibleInterval:
@@ -275,8 +273,7 @@ def hpd_hpm_closed_form(post: PosteriorParams, g: float) -> CredibleInterval:
     equal-density residual in the diagnostics measures how far the pair is
     from a true HPD configuration.
     """
-    if math.isnan(g) or g < 0.0 or math.isinf(g):
-        raise DomainError(f"length g must be finite and nonnegative, got {g!r}")
+    _real("length g", g, least=0.0)
     A, apn = post.A, post.a_plus_n
     root = math.sqrt(A) * math.sqrt(A + 8.0 * apn * g)  # A^2 would under/overflow
     lower = (A + 2.0 * apn * g + root) / (2.0 * apn)
@@ -314,14 +311,14 @@ def interval(
     alpha, which exists at every level; its level field reports the
     coverage actually reached.
     """
-    return _intervals((kind,), post, alpha)[0]
+    return _intervals((IntervalKind(kind),), post, alpha)[0]
 
 
 def _intervals(kinds, post: PosteriorParams, alpha: float) -> list[CredibleInterval]:
-    # interval(kind, post, alpha) for each kind in order, with the exact HPD
-    # solved at most once and shared by hpd_exact and hpd_hpm
+    # interval(kind, post, alpha) for each IntervalKind of kinds, with the
+    # exact HPD solved at most once and shared by hpd_exact and hpd_hpm
     out, exact = [], None
-    for kind in map(IntervalKind, kinds):
+    for kind in kinds:
         if kind is IntervalKind.EQUAL_TAILS:
             out.append(equal_tails(post, alpha))
             continue
@@ -340,8 +337,7 @@ def length_of_alpha(
     """Exact HPD length at each level; alphas must be strictly increasing."""
     if len(alphas) == 0:
         raise DomainError("alphas must be non-empty")
-    for a in alphas:
-        _check_alpha(a)
+    alphas = [_check_alpha(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("alphas must be strictly increasing")
-    return [(float(a), hpd_exact(post, a).length) for a in alphas]
+    return [(a, hpd_exact(post, a).length) for a in alphas]

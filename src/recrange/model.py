@@ -16,12 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegeneratePosteriorError,
-    DomainError,
-    InsufficientRecordsError,
-    _count,
-)
+from .errors import DegeneratePosteriorError, InsufficientRecordsError, _count, _real
 from .records import RecordSummary
 from .specfun import _log_mass, ln_gamma
 
@@ -50,10 +45,8 @@ class PriorParams:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainError(f"prior shape a must be positive, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b >= 0.0):
-            raise DomainError(f"prior scale b must be nonnegative, got {self.b!r}")
+        _real("prior shape a", self.a)
+        _real("prior scale b", self.b, least=0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,10 +62,8 @@ class PosteriorParams:
     A: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0.0):
-            raise DomainError(f"posterior shape s must be positive, got {self.s!r}")
-        if not (math.isfinite(self.A) and self.A > 0.0):
-            raise DomainError(f"posterior scale A must be positive, got {self.A!r}")
+        _real("posterior shape s", self.s)
+        _real("posterior scale A", self.A)
 
     @property
     def a_plus_n(self) -> float:
@@ -96,10 +87,8 @@ def range_pdf(r: float, n: int, delta: float) -> float:
     in log space except at r = 0, where only n = 2 has positive density.
     """
     n = _count("n", n, 2)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"scale delta must be positive, got {delta!r}")
-    if math.isnan(r) or r < 0.0:
-        raise DomainError(f"range r must be nonnegative, got {r!r}")
+    _real("scale delta", delta)
+    _real("range r", r, least=0.0)
     if r == 0.0:
         return 1.0 / delta if n == 2 else 0.0
     k = n - 1.0
@@ -112,8 +101,7 @@ def posterior_log_pdf(delta: float, post: PosteriorParams) -> float:
 
     Above s = 2.55e305, where ln Gamma(s) overflows, raises DomainError.
     """
-    if math.isnan(delta) or delta <= 0.0 or math.isinf(delta):
-        raise DomainError(f"delta must be positive and finite, got {delta!r}")
+    _real("delta", delta)
     return (
         post.s * math.log(post.A)
         - post.A / delta
@@ -140,8 +128,8 @@ def posterior_coverage(c_lo: float, c_hi: float, post: PosteriorParams) -> float
     Substituting u = A/delta turns the integral into the incomplete-gamma
     mass P(s, A/c_lo) - P(s, A/c_hi), from specfun._log_mass. c_hi may be +inf.
     """
-    if not 0.0 <= c_lo <= c_hi:  # nan fails
-        raise DomainError(f"need 0 <= c_lo <= c_hi, got c_lo={c_lo!r}, c_hi={c_hi!r}")
+    _real("c_lo", c_lo, least=0.0)
+    _real("c_hi", c_hi, least=c_lo, inf=True)
     u_lo, u_hi = (post.A / c if c > 0.0 else math.inf for c in (c_hi, c_lo))
     return math.exp(_log_mass(post.s, u_lo, u_hi))
 

@@ -20,9 +20,16 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from collections.abc import Mapping, Set
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CapExhaustedError, DomainError, InsufficientRecordsError, _count
+from .errors import (
+    CapExhaustedError,
+    DomainError,
+    InsufficientRecordsError,
+    _count,
+    _real,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,13 +99,31 @@ class RecordSummary:
         return self.values[-1] - self.values[0]
 
 
-def _reject_text(series) -> None:
-    # a str or bytes iterates as characters or as byte values, never numbers
-    if isinstance(series, (str, bytes, bytearray)):
+def _series(data):
+    # The one check of a series; returns what a scan iterates, the buffer of
+    # an exact 1-D ndarray of a scanned format (a subclass such as MaskedArray
+    # may give items that differ from it), else the data. Text iterates as
+    # characters, a mapping as its keys, a set in hash order, and what has no
+    # length (a generator, a number, a 0-d array) is no series.
+    if isinstance(data, (str, bytes, bytearray)):
         raise DomainError(
-            f"observation 1 is not a number: {series[:1]!r}"
-            f" (the series is a {type(series).__name__})"
+            f"observation 1 is not a number: {data[:1]!r}"
+            f" (the series is a {type(data).__name__})"
         )
+    try:
+        size = -1 if isinstance(data, (Mapping, Set)) else len(data)
+    except TypeError:
+        size = -1
+    if size < 0:
+        raise DomainError(f"the series is a {type(data).__name__}, not a sequence")
+    if size == 0:
+        raise DomainError("the series is empty")
+    np = sys.modules.get("numpy")
+    if np is not None and type(data) is np.ndarray and data.ndim == 1:
+        view = memoryview(data)
+        if view.format in _SCAN_FORMATS:
+            return view
+    return data
 
 
 def _not_a_number(j: int, x, exc: Exception) -> DomainError:
@@ -115,14 +140,6 @@ def _upper_records(series, n: int | None = None) -> RecordSummary:
     # numeric text; math.isfinite raises TypeError for anything but a real
     # number (text, None, an array row) and OverflowError for an int beyond
     # the floats.
-    _reject_text(series)
-    np = sys.modules.get("numpy")
-    if np is not None and type(series) is np.ndarray and series.ndim == 1:
-        # an exact ndarray only: a subclass such as MaskedArray may give
-        # items that differ from its buffer
-        view = memoryview(series)
-        if view.format in _SCAN_FORMATS:
-            series = view
     values: list[float] = []
     times: list[int] = []
     current = -math.inf
@@ -145,9 +162,7 @@ def _upper_records(series, n: int | None = None) -> RecordSummary:
 
 def extract_upper_records(data: Sequence[float]) -> RecordSummary:
     """Scan a series once and return its upper records and record times."""
-    if len(data) == 0:
-        raise DomainError("cannot extract records from an empty series")
-    return _upper_records(data)
+    return _upper_records(_series(data))
 
 
 def record_range_sequence(summary: RecordSummary) -> tuple[float, ...]:
@@ -182,12 +197,6 @@ def _direct_values(delta: float, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.exponential(scale=delta, size=n).cumsum()
 
 
-def _check_sampler(delta: float, n) -> int:
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"scale delta must be positive, got {delta!r}")
-    return _count("n", n, 2)
-
-
 def _rng(seed) -> np.random.Generator:
     # a seed that is a number is a count; any other seed numpy takes (None, a
     # generator, a bit generator, a SeedSequence, a sequence) passes as it is
@@ -204,7 +213,8 @@ def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     Skips simulating the underlying series entirely, so the record times are
     synthetic placeholders.
     """
-    n = _check_sampler(delta, n)
+    _real("scale delta", delta)
+    n = _count("n", n, 2)
     rng = _rng(seed)
     values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
@@ -224,7 +234,8 @@ def sample_records_stream(
     """
     import numpy as np
 
-    n = _check_sampler(delta, n)
+    _real("scale delta", delta)
+    n = _count("n", n, 2)
     cap = _count("the draw cap", cap, 1)
     rng = _rng(seed)
     # values are drawn a chunk at a time only as the scan reaches them, so a

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _real
 from .model import PriorParams
 
 __all__ = [
@@ -65,8 +65,8 @@ class LinearEstimator:
     d: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.d)):
-            raise DomainError(f"m and d must be finite, got {self.m!r}, {self.d!r}")
+        _real("slope m", self.m, least=-math.inf)
+        _real("offset d", self.d, least=-math.inf)
 
 
 def _bracket(est: LinearEstimator, n: int) -> tuple[float, float]:
@@ -84,8 +84,7 @@ def risk_linear(
 ) -> float:
     """Risk of m*r + d at a fixed true scale, under either loss weighting."""
     n = _count("n", n, 2)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"true scale delta must be positive, got {delta!r}")
+    _real("true scale delta", delta)
     loss = LossWeight(loss)
     bracket, slope = _bracket(est, n)
     q = est.d / delta  # formed before squaring, so a tiny delta overflows to inf
@@ -138,11 +137,9 @@ def r1_r2_gap(k: float, n: int, b: float) -> float:
     The two code paths are deliberately distinct so they can cross-check
     each other. The gap is negative and k * gap tends to -(b-1)^2/(b n)^2.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"path parameter k must be positive, got {k!r}")
+    _real("path parameter k", k)
     n = _count("n", n, 2)
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"prior scale b must be positive, got {b!r}")
+    _real("prior scale b", b)
     rule = LinearEstimator(m=k / (1.0 + k * n), d=k * b / (1.0 + k * n))
     r1 = bayes_risk_linear(rule, n, PriorParams(a=1.0 / k, b=b))
     c = 1.0 / b / (n * k)  # 1/(b n k), squared below: overflows, never divides by 0

@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _real
 from .estimators import (
     EstimatorId,
     _estimate,
@@ -127,10 +127,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_true) and self.delta_true > 0.0):
-            raise DomainError(
-                f"true scale must be positive, got {self.delta_true!r}"
-            )
+        _real("true scale delta_true", self.delta_true)
         try:
             ns = tuple(self.n_records)
         except TypeError:  # a single record count
@@ -146,10 +143,8 @@ class SimConfig:
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         estimators = dict.fromkeys(map(EstimatorId, self.estimators))
         object.__setattr__(self, "estimators", tuple(estimators))
-        alphas = tuple(float(a) for a in self.alpha_list)
-        for alpha in alphas:
-            _check_alpha(alpha)
-        object.__setattr__(self, "alpha_list", tuple(dict.fromkeys(alphas)))
+        alphas = dict.fromkeys(map(_check_alpha, self.alpha_list))
+        object.__setattr__(self, "alpha_list", tuple(alphas))
         kinds = dict.fromkeys(map(IntervalKind, self.interval_kinds))
         object.__setattr__(self, "interval_kinds", tuple(kinds))
         object.__setattr__(self, "workers", _count("workers", self.workers, 1))

@@ -27,7 +27,7 @@ import math
 import sys
 from statistics import NormalDist
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _real
 
 __all__ = [
     "ln_gamma",
@@ -69,8 +69,7 @@ def ln_gamma(x: float) -> float:
     relative-error budget across [1e-6, 1e6]. Above about 2.55e305 the value
     exceeds the float range and DomainError is raised.
     """
-    if math.isnan(x) or not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
+    _real("x", x)
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -86,10 +85,8 @@ def reg_lower_gamma(s: float, x: float) -> float:
     Nondecreasing in x, with P(s, 0) = 0 and P(s, inf) = 1; x = +inf is an
     accepted domain endpoint.
     """
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"shape s must be positive and finite, got {s!r}")
-    if not x >= 0.0:  # nan fails
-        raise DomainError(f"x must be nonnegative, got {x!r}")
+    _real("shape s", s)
+    _real("x", x, least=0.0, inf=True)
     return math.exp(_log_mass(s, 0.0, x))
 
 
@@ -234,12 +231,9 @@ def gen_incomplete_gamma(s: float, x_lo: float, x_hi: float) -> float:
     value beyond the float range is inf; where ln Gamma(s) overflows (s above
     2.55e305) and the mass saturates to 0, DomainError is raised.
     """
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"shape s must be positive and finite, got {s!r}")
-    if not 0.0 <= x_lo < math.inf:  # nan fails
-        raise DomainError(f"x_lo must be finite and nonnegative, got {x_lo!r}")
-    if not x_lo <= x_hi:
-        raise DomainError(f"need x_lo <= x_hi, got x_lo={x_lo!r}, x_hi={x_hi!r}")
+    _real("shape s", s)
+    _real("x_lo", x_lo, least=0.0)
+    _real("x_hi", x_hi, least=x_lo, inf=True)
     log_mass = _log_mass(s, x_lo, x_hi)
     try:
         return math.exp(math.lgamma(s) + log_mass)
@@ -267,6 +261,8 @@ def chi2_quantile(p: float, nu: float) -> float:
     Strictly increasing in p. Results are memoised per (p, nu) in a bounded
     table, so repeated levels cost a lookup.
     """
+    _real("probability p", p, below=1.0)
+    _real("degrees of freedom nu", nu)
     return _chi2_quantile(p, nu)
 
 
@@ -281,12 +277,6 @@ def _chi2_isf(q: float, nu: float) -> float:
 
 @functools.lru_cache(maxsize=1024)
 def _chi2_quantile(p: float, nu: float) -> float:
-    if math.isnan(p) or math.isnan(nu):
-        raise DomainError("chi2_quantile does not accept nan arguments")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability p must lie in (0, 1), got {p!r}")
-    if not math.isfinite(nu) or nu <= 0.0:
-        raise DomainError(f"degrees of freedom must be positive, got {nu!r}")
     if p <= 0.5:
         return _tail_quantile(p, nu, False)
     return _tail_quantile(1.0 - p, nu, True)

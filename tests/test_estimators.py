@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from recrange import estimators
+from test_records import NOT_SERIES
 from recrange import (
     ConvergenceError,
     DegeneratePosteriorError,
@@ -87,6 +88,18 @@ class TestMleSample:
         for data in (items, np.array(items, dtype=dtype)):
             with pytest.raises(DomainError, match=rf"^observation {j} {says}"):
                 mle_sample(data)
+
+    @pytest.mark.parametrize("make", NOT_SERIES.values(), ids=NOT_SERIES)
+    def test_not_a_series(self, make):
+        with pytest.raises(DomainError):
+            mle_sample(make())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "int64", ">f8", "float16"])
+    def test_array_mean_is_the_list_mean(self, dtype):
+        # an exact 1-D array of a native format is read through its buffer
+        a = (np.arange(8, 1600, 7) / 8).astype(dtype)
+        for x in (a, a[::3]):
+            assert mle_sample(x) == mle_sample(x.tolist())
 
 
 class TestMleRecords:

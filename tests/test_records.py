@@ -235,6 +235,19 @@ NOT_NUMBERS = {
 }
 
 
+# what has no length or no order of observations, as factories (a generator
+# runs once); a mapping would be scanned as its keys, a set in hash order
+NOT_SERIES = {
+    "dict": lambda: {0.5: 1.0, 2.0: 3.0},
+    "set": lambda: {0.5, 2.0},
+    "frozenset": lambda: frozenset({0.5, 2.0}),
+    "generator": lambda: (x for x in (0.5, 2.0)),
+    "int": lambda: 5,
+    "none": lambda: None,
+    "0-d array": lambda: np.array(3.0),
+}
+
+
 class TestNotNumbers:
     """Each item is checked before float(), which also reads numeric text."""
 
@@ -252,6 +265,16 @@ class TestNotNumbers:
         for data in (items, np.array(items, dtype=dtype)):
             with pytest.raises(DomainError, match=rf"^observation {j} {says}"):
                 extract_upper_records(data)
+
+    @pytest.mark.parametrize("make", NOT_SERIES.values(), ids=NOT_SERIES)
+    def test_not_a_series(self, make):
+        with pytest.raises(DomainError):
+            extract_upper_records(make())
+
+    def test_sequences_are_series(self):
+        want = extract_upper_records([1, 2, 3, 4])
+        for data in ((1, 2, 3, 4), range(1, 5), np.arange(1, 5)):
+            assert extract_upper_records(data) == want
 
 
 class TestRangeSequence:
