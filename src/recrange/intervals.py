@@ -295,10 +295,8 @@ def _equal_density_residual(v_lo: float, v_hi: float, apn: float) -> float:
     # |pdf(c_L) - pdf(c_H)| / pdf(mode), with v = mode / c at each endpoint:
     # ln(pdf(c) / pdf(mode)) = (a+n)(ln v + 1 - v) does not involve A and is
     # never positive; a v that underflowed to 0 is a density ratio of 0
-    lo, hi = (
-        math.exp(apn * (math.log(v) + 1.0 - v)) if v > 0.0 else 0.0
-        for v in (v_lo, v_hi)
-    )
+    lo = math.exp(apn * (math.log(v_lo) + 1.0 - v_lo)) if v_lo > 0.0 else 0.0
+    hi = math.exp(apn * (math.log(v_hi) + 1.0 - v_hi)) if v_hi > 0.0 else 0.0
     return abs(lo - hi)
 
 
