@@ -12,6 +12,15 @@ exact one-dimensional numpy array of native-order floats or integers is
 scanned through its buffer, as Python floats, and the scan still never
 imports numpy: it finds the ndarray type in sys.modules, where the caller
 who made the array has already put it.
+
+A float64 or float32 buffer takes a fast scan: a value below the current
+record costs one comparison, a new record must lie strictly between -inf
+and +inf, and one sum over the buffer must be finite, which it is exactly
+when every value is finite and the sum does not overflow. When any of
+these fails the checked scan runs instead, from the start, so a series
+gives the same summary, or names the same first bad observation, either
+way. Lists, tuples, integer buffers (whose ints beyond 2**53 would compare
+exactly, not as floats) and every other series take the checked scan.
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ _STREAM_CHUNK = 256
 # byte-swapped dtypes such as >f8 are left to numpy, since memoryview cannot
 # unpack them on every supported Python
 _SCAN_FORMATS = frozenset("bBhHiIlLqQfd")
+# the buffer formats of the fast scan, whose items are already Python floats
+_FLOAT_FORMATS = frozenset("fd")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,16 +78,23 @@ class RecordSummary:
     times_synthetic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "times", tuple(int(t) for t in self.times))
+        # each value by the real rule and each time by the count rule, so
+        # text, bool and fractional times are refused rather than coerced
+        values = tuple(
+            _real(f"record value {k}", v, least=-math.inf)
+            for k, v in enumerate(self.values, start=1)
+        )
+        times = tuple(
+            _count(f"record time {k}", t, 1) for k, t in enumerate(self.times, start=1)
+        )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", times)
         if not self.values:
             raise DomainError("a record summary needs at least one record")
         if len(self.values) != len(self.times):
             raise DomainError(
                 f"values and times lengths differ: {len(self.values)} != {len(self.times)}"
             )
-        if any(not math.isfinite(v) for v in self.values):
-            raise DomainError("record values must be finite")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise DomainError("record values must be nondecreasing")
         if self.times[0] != 1:
@@ -160,9 +178,36 @@ def _upper_records(series, n: int | None = None) -> RecordSummary:
     return RecordSummary(values=tuple(values), times=tuple(times))
 
 
+def _float_records(view: memoryview) -> RecordSummary | None:
+    # The record rule over a float buffer, whose items are Python floats; None
+    # when a value is not finite or the sum overflows, for the checked scan to
+    # rerun. The sum decides, as it is finite only if every value is; the test
+    # of a new record stops the loop early at a nan, which never compares
+    # below the record, or at +inf. A -inf after the first value is skipped.
+    values: list[float] = []
+    times: list[int] = []
+    current = -math.inf
+    for j, x in enumerate(view, start=1):
+        if x < current:
+            continue
+        if not -math.inf < x < math.inf:
+            return None
+        values.append(x)
+        times.append(j)
+        current = x
+    if not math.isfinite(sum(view)):
+        return None
+    return RecordSummary(values=tuple(values), times=tuple(times))
+
+
 def extract_upper_records(data: Sequence[float]) -> RecordSummary:
-    """Scan a series once and return its upper records and record times."""
-    return _upper_records(_series(data))
+    """Scan a series and return its upper records and record times."""
+    series = _series(data)
+    if type(series) is memoryview and series.format in _FLOAT_FORMATS:
+        summary = _float_records(series)
+        if summary is not None:
+            return summary
+    return _upper_records(series)
 
 
 def record_range_sequence(summary: RecordSummary) -> tuple[float, ...]:
@@ -216,9 +261,10 @@ def sample_records_direct(delta: float, n: int, seed=None) -> RecordSummary:
     _real("scale delta", delta)
     n = _count("n", n, 2)
     rng = _rng(seed)
-    values = tuple(float(v) for v in _direct_values(delta, n, rng))
     return RecordSummary(
-        values=values, times=tuple(range(1, n + 1)), times_synthetic=True
+        values=tuple(_direct_values(delta, n, rng)),
+        times=tuple(range(1, n + 1)),
+        times_synthetic=True,
     )
 
 

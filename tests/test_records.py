@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,53 @@ SAMPLE_A_RECORDS = (
 SAMPLE_A_RANGES = ("4.319232", "5.583854", "7.203468", "9.350972", "9.456790")
 
 
+# fields that float() or int() would coerce, as (values, times, the field
+# named); each is refused by the real rule or the count rule
+NOT_RECORD_FIELDS = {
+    "text-values": (("1", " 2e0 "), (1, 2), "record value 1"),
+    "bytes-value": ((1.0, b"2"), (1, 2), "record value 2"),
+    "bool-value": ((True, 2.0), (1, 2), "record value 1"),
+    "decimal-value": ((Decimal("1"), 2.0), (1, 2), "record value 1"),
+    "fractional-time": ((1.0, 2.0), (1, 2.9), "record time 2"),
+    "float-times": ((1.0, 2.0), (1.0, 2.0), "record time 1"),
+    "text-time": ((1.0, 2.0), (1, "2"), "record time 2"),
+    "bool-time": ((1.0, 2.0), (True, 2), "record time 1"),
+    "numpy-float-time": ((1.0, 2.0), (1, np.float64(2.0)), "record time 2"),
+    "text-and-fractional": (("1", " 2e0 "), (1.9, "2"), "record value 1"),
+}
+
+
 class TestRecordSummary:
+    @pytest.mark.parametrize(
+        "values, times, named", NOT_RECORD_FIELDS.values(), ids=NOT_RECORD_FIELDS
+    )
+    def test_fields_are_not_coerced(self, values, times, named):
+        with pytest.raises(DomainError, match=rf"^{named} must be"):
+            RecordSummary(values=values, times=times)
+
+    def test_real_values_and_integer_times_are_stored_as_float_and_int(self):
+        s = RecordSummary(
+            values=(1, np.float32(1.5), Fraction(5, 2), np.float64(4.0)),
+            times=(np.int64(1), 2, np.int32(5), 9),
+        )
+        assert s == RecordSummary(values=(1.0, 1.5, 2.5, 4.0), times=(1, 2, 5, 9))
+        assert {type(v) for v in s.values} == {float}
+        assert {type(t) for t in s.times} == {int}
+
+    def test_summaries_hold_plain_floats_and_ints(self):
+        x = np.array([0.5, 2.0, 1.0, 3.0], dtype=np.float32)
+        built = [
+            extract_upper_records(x),
+            extract_upper_records(x.tolist()),
+            extract_upper_records(x.astype(np.int64)),
+            truncate(extract_upper_records(x), 2),
+            sample_records_direct(1.0, 3, seed=1),
+            sample_records_stream(1.0, 3, seed=1),
+        ]
+        for s in built:
+            assert {type(v) for v in s.values} == {float}
+            assert {type(t) for t in s.times} == {int}
+
     def test_basic_fields(self):
         s = RecordSummary(values=(1.0, 2.5, 4.0), times=(1, 3, 9))
         assert s.n == 3
@@ -195,6 +243,74 @@ class TestBufferScan:
         a[-1] = math.nan  # a later bad value is not the one named
         with pytest.raises(DomainError, match=rf"^observation {j} is not finite"):
             extract_upper_records(a)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @given(
+        values=st.lists(
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=60)
+    def test_float_buffers_take_the_fast_scan(self, dtype, values):
+        # float32 values, so that a float32 array holds them exactly
+        a = np.array(values, dtype=dtype)
+        for x in (a, a[::2], a[::-3]):  # contiguous, and two strided views
+            view = memoryview(x)
+            assert view.format in records._FLOAT_FORMATS
+            fast = records._float_records(view)
+            assert fast is not None
+            assert fast == extract_upper_records(x.tolist())
+            assert extract_upper_records(x) == fast
+
+    def test_overflowing_sum_takes_the_checked_scan(self):
+        a = np.array([1e308, 1e308, 5e307])
+        assert records._float_records(memoryview(a)) is None
+        s = extract_upper_records(a)
+        assert s == extract_upper_records(a.tolist())
+        assert (s.values, s.times) == ((1e308, 1e308), (1, 2))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "zeros", [(-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, -1.0, -0.0), (-0.0, -0.0, 0.0)]
+    )
+    def test_signed_zeros_tie(self, dtype, zeros):
+        # -0.0 == 0.0, so each zero refreshes the record and keeps its sign
+        a = np.array(zeros, dtype=dtype)
+        s = extract_upper_records(a)
+        want = extract_upper_records(list(zeros))
+        assert s == want
+        assert [math.copysign(1.0, v) for v in s.values] == [
+            math.copysign(1.0, v) for v in want.values
+        ]
+        assert s.times == tuple(j for j, z in enumerate(zeros, start=1) if z == 0.0)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "items, j, says",
+        [
+            ([1.0, 2.0, -math.inf, 3.0], 3, "-inf"),  # skipped, found by the sum
+            ([5.0, 1.0, math.nan, 2.0], 3, "nan"),  # below the record, not skipped
+            ([5.0, 6.0, 1.0, math.inf], 4, "inf"),
+        ],
+    )
+    def test_a_bad_value_is_named_by_index(self, dtype, items, j, says):
+        a = np.array(items, dtype=dtype)
+        assert records._float_records(memoryview(a)) is None
+        for data in (items, a):
+            with pytest.raises(
+                DomainError, match=rf"^observation {j} is not finite: {says}$"
+            ):
+                extract_upper_records(data)
+
+    def test_integer_buffers_take_the_checked_scan(self):
+        # 2**53 + 3 rounds up to the record 2**53 + 4 as a float, and ties it;
+        # as ints it is smaller. The checked scan compares floats, as for a list
+        data = [2**53 + 4, 2**53 + 3]
+        want = extract_upper_records(data)
+        assert want.times == (1, 2)
+        assert extract_upper_records(np.array(data, dtype=np.int64)) == want
 
     def test_two_dimensional_array_scans_its_rows(self):
         # a row is not a number; only a 1-D buffer is read
