@@ -13,14 +13,15 @@ scanned through its buffer, as Python floats, and the scan still never
 imports numpy: it finds the ndarray type in sys.modules, where the caller
 who made the array has already put it.
 
-A float64 or float32 buffer takes a fast scan: a value below the current
-record costs one comparison, a new record must lie strictly between -inf
-and +inf, and one sum over the buffer must be finite, which it is exactly
-when every value is finite and the sum does not overflow. When any of
-these fails the checked scan runs instead, from the start, so a series
-gives the same summary, or names the same first bad observation, either
-way. Lists, tuples, integer buffers (whose ints beyond 2**53 would compare
-exactly, not as floats) and every other series take the checked scan.
+A float64 or float32 buffer takes a fast scan: numpy checks that every
+value is finite in one pass over the buffer, then a value below the current
+record costs one comparison. A buffer that fails that check takes the
+checked scan instead, which names its first bad observation, as does a float
+memoryview met while numpy is not loaded (a caller's own
+memoryview(array('d', ...))). Lists, tuples, integer buffers (whose ints
+beyond 2**53 would compare exactly, not as floats) and every other series
+take the checked scan, so each gives the same summary, or names the same
+first bad observation, as its list.
 """
 
 from __future__ import annotations
@@ -102,6 +103,19 @@ class RecordSummary:
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise DomainError("record times must be strictly increasing")
 
+    @classmethod
+    def _unchecked(
+        cls, values: tuple[float, ...], times: tuple[int, ...], times_synthetic=False
+    ) -> RecordSummary:
+        # a summary whose fields a scan or a slice of a summary has already
+        # proved: plain finite nondecreasing floats, and ints that start at 1
+        # and strictly increase
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times_synthetic", times_synthetic)
+        return self
+
     @property
     def n(self) -> int:
         """Number of records collected."""
@@ -122,7 +136,10 @@ def _series(data):
     # an exact 1-D ndarray of a scanned format (a subclass such as MaskedArray
     # may give items that differ from it), else the data. Text iterates as
     # characters, a mapping as its keys, a set in hash order, and what has no
-    # length (a generator, a number, a 0-d array) is no series.
+    # length (a generator, a number, a 0-d array) is no series. The items of
+    # a complex array would lose their imaginary parts to float(), and a
+    # datetime array has no buffer, so either is refused as its list is; a
+    # memoryview of more than one dimension cannot be iterated.
     if isinstance(data, (str, bytes, bytearray)):
         raise DomainError(
             f"observation 1 is not a number: {data[:1]!r}"
@@ -136,8 +153,14 @@ def _series(data):
         raise DomainError(f"the series is a {type(data).__name__}, not a sequence")
     if size == 0:
         raise DomainError("the series is empty")
+    if isinstance(data, memoryview) and data.ndim != 1:
+        raise DomainError(f"the series is a memoryview of {data.ndim} dimensions, not 1")
     np = sys.modules.get("numpy")
-    if np is not None and type(data) is np.ndarray and data.ndim == 1:
+    if np is None or not isinstance(data, np.ndarray):
+        return data
+    if data.dtype.kind in "cmM":
+        raise DomainError(f"observation 1 is not a number: {data[0]!r}")
+    if type(data) is np.ndarray and data.ndim == 1:
         view = memoryview(data)
         if view.format in _SCAN_FORMATS:
             return view
@@ -175,29 +198,25 @@ def _upper_records(series, n: int | None = None) -> RecordSummary:
             current = x
             if len(values) == n:
                 break
-    return RecordSummary(values=tuple(values), times=tuple(times))
+    return RecordSummary._unchecked(tuple(values), tuple(times))
 
 
 def _float_records(view: memoryview) -> RecordSummary | None:
-    # The record rule over a float buffer, whose items are Python floats; None
-    # when a value is not finite or the sum overflows, for the checked scan to
-    # rerun. The sum decides, as it is finite only if every value is; the test
-    # of a new record stops the loop early at a nan, which never compares
-    # below the record, or at +inf. A -inf after the first value is skipped.
+    # The record rule over a float buffer, whose items are Python floats, at
+    # one comparison per value once numpy has found every value finite; None,
+    # for the checked scan to run, when a value is not or numpy is not loaded.
+    np = sys.modules.get("numpy")
+    if np is None or not np.isfinite(view).all():
+        return None
     values: list[float] = []
     times: list[int] = []
     current = -math.inf
     for j, x in enumerate(view, start=1):
-        if x < current:
-            continue
-        if not -math.inf < x < math.inf:
-            return None
-        values.append(x)
-        times.append(j)
-        current = x
-    if not math.isfinite(sum(view)):
-        return None
-    return RecordSummary(values=tuple(values), times=tuple(times))
+        if x >= current:
+            values.append(x)
+            times.append(j)
+            current = x
+    return RecordSummary._unchecked(tuple(values), tuple(times))
 
 
 def extract_upper_records(data: Sequence[float]) -> RecordSummary:
@@ -227,10 +246,8 @@ def truncate(summary: RecordSummary, n: int) -> RecordSummary:
         raise InsufficientRecordsError(
             f"cannot keep {n} records out of {summary.n}"
         )
-    return RecordSummary(
-        values=summary.values[:n],
-        times=summary.times[:n],
-        times_synthetic=summary.times_synthetic,
+    return RecordSummary._unchecked(
+        summary.values[:n], summary.times[:n], summary.times_synthetic
     )
 
 
@@ -291,7 +308,9 @@ def sample_records_stream(
         for lo in range(0, cap, _STREAM_CHUNK)
         for x in -delta * np.log1p(-rng.random(min(_STREAM_CHUNK, cap - lo)))
     )
-    summary = _upper_records(draws, n)
+    # a draw beyond the floats is inf, which the scan names as not finite
+    with np.errstate(over="ignore"):
+        summary = _upper_records(draws, n)
     if summary.n == n:
         return summary
     raise CapExhaustedError(

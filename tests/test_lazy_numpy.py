@@ -85,3 +85,24 @@ def test_sampling_loads_numpy_on_first_use(tmp_path):
     for suffix in (".csv", ".json"):
         name = "simulate_point" + suffix
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_scanning_a_float_memoryview_leaves_numpy_unloaded(tmp_path):
+    # the fast scan's finiteness check needs numpy, so without it a float
+    # memoryview takes the checked scan, and its bad value is still named
+    code = "\n".join([
+        "import sys",
+        "from array import array",
+        "from recrange import DomainError, extract_upper_records",
+        "print(extract_upper_records(memoryview(array('d', [0.5, 2.0, 1.0, 3.0]))))",
+        "try:",
+        "    extract_upper_records(memoryview(array('f', [1.0, float('inf')])))",
+        "except DomainError as err:",
+        "    print(err)",
+        "print('numpy' in sys.modules)",
+    ])
+    assert run_fresh(code, tmp_path) == [
+        "RecordSummary(values=(0.5, 2.0, 3.0), times=(1, 2, 4), times_synthetic=False)",
+        "observation 2 is not finite: inf",
+        "False",
+    ]

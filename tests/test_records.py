@@ -1,4 +1,7 @@
+import array
 import math
+import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from recrange import (
     RecordSummary,
     datasets,
     extract_upper_records,
+    mle_sample,
     record_range_sequence,
     records,
     sample_records_direct,
@@ -264,12 +268,49 @@ class TestBufferScan:
             assert fast == extract_upper_records(x.tolist())
             assert extract_upper_records(x) == fast
 
-    def test_overflowing_sum_takes_the_checked_scan(self):
+    def test_overflowing_sum_takes_the_fast_scan(self):
+        # finite values whose sum overflows are still finite values
         a = np.array([1e308, 1e308, 5e307])
-        assert records._float_records(memoryview(a)) is None
+        assert records._float_records(memoryview(a)) == extract_upper_records(a.tolist())
         s = extract_upper_records(a)
         assert s == extract_upper_records(a.tolist())
         assert (s.values, s.times) == ((1e308, 1e308), (1, 2))
+
+    @pytest.mark.parametrize("typecode", ["d", "f"])
+    def test_float_memoryview_without_numpy_takes_the_checked_scan(
+        self, monkeypatch, typecode
+    ):
+        items = [0.5, 2.0, 1.0, 2.0, 3.5]
+        view = memoryview(array.array(typecode, items))
+        want = extract_upper_records(items)
+        assert extract_upper_records(view) == want  # numpy loaded
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert records._float_records(view) is None
+        assert extract_upper_records(view) == want
+        view = memoryview(array.array(typecode, [1.0, math.nan]))
+        with pytest.raises(DomainError, match=r"^observation 2 is not finite: nan$"):
+            extract_upper_records(view)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([0.5, 2.0, 1.0, 2.0, 3.5]),  # the fast scan
+            np.array([0.5, 2.0, 1.0, 2.0, 3.5], dtype=np.float32),
+            [0.5, 2, 1.0, 2, 3.5],  # the checked scan, ints among the floats
+            np.array([1, 4, 2, 4, 7]),
+        ],
+        ids=["float64", "float32", "list", "int64"],
+    )
+    def test_scanned_summaries_equal_checked_ones(self, data):
+        # the scans and truncate build summaries unchecked; each must equal,
+        # hash as and hold the same plain types as a checked one
+        s = extract_upper_records(data)
+        for got in (s, truncate(s, 2)):
+            checked = RecordSummary(values=got.values, times=got.times)
+            assert got == checked and hash(got) == hash(checked)
+            assert all(type(v) is float for v in got.values)
+            assert all(type(t) is int for t in got.times)
+            assert got.times_synthetic is False
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize(
@@ -290,8 +331,8 @@ class TestBufferScan:
     @pytest.mark.parametrize(
         "items, j, says",
         [
-            ([1.0, 2.0, -math.inf, 3.0], 3, "-inf"),  # skipped, found by the sum
-            ([5.0, 1.0, math.nan, 2.0], 3, "nan"),  # below the record, not skipped
+            ([1.0, 2.0, -math.inf, 3.0], 3, "-inf"),  # below the record
+            ([5.0, 1.0, math.nan, 2.0], 3, "nan"),  # compares below nothing
             ([5.0, 6.0, 1.0, math.inf], 4, "inf"),
         ],
     )
@@ -364,6 +405,34 @@ NOT_SERIES = {
 }
 
 
+# arrays whose items no scan reads as real numbers, as (the array, what the
+# error names): complex items would lose their imaginary parts to float(),
+# datetimes have no buffer, and a 2-D memoryview cannot be iterated
+UNREADABLE_ARRAYS = {
+    "complex": (lambda: np.array([1 + 5j, 2, 0.5 + 9j]), "observation 1 is not a number"),
+    "complex-real-parts": (lambda: np.array([1, 2], dtype=complex), "observation 1 is not a number"),
+    "complex-subclass": (
+        lambda: np.ma.array([1 + 5j, 2.0]), "observation 1 is not a number"
+    ),
+    "complex-strided": (lambda: np.ones(4, np.complex64)[::2], "observation 1 is not a number"),
+    "timedelta": (lambda: np.array([1, 2], dtype="m8[s]"), "observation 1 is not a number"),
+    "datetime": (
+        lambda: np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"),
+        "observation 1 is not a number",
+    ),
+    "2-d memoryview": (
+        lambda: memoryview(np.ones((3, 2))), "the series is a memoryview of 2 dimensions"
+    ),
+}
+
+
+@pytest.mark.parametrize("scan", [extract_upper_records, mle_sample])
+@pytest.mark.parametrize("make, says", UNREADABLE_ARRAYS.values(), ids=UNREADABLE_ARRAYS)
+def test_unreadable_arrays_are_refused(scan, make, says):
+    with pytest.raises(DomainError, match=rf"^{says}"):
+        scan(make())
+
+
 class TestNotNumbers:
     """Each item is checked before float(), which also reads numeric text."""
 
@@ -426,6 +495,11 @@ class TestTruncate:
         s = extract_upper_records(datasets.SAMPLE_A)
         with pytest.raises(InsufficientRecordsError):
             truncate(s, 7)
+
+    def test_keeps_synthetic_times(self):
+        s = sample_records_direct(2.0, 4, seed=3)
+        t = truncate(s, 2)
+        assert t == RecordSummary(values=s.values[:2], times=(1, 2), times_synthetic=True)
 
 
 class TestDirectSampler:
@@ -586,6 +660,14 @@ class TestStreamSampler:
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
                 capped += isinstance(got, tuple)
         assert 0 < capped < 300 * len(caps)  # both outcomes are exercised
+
+    def test_a_draw_beyond_the_floats_is_named_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                DomainError, match=r"^observation 6 is not finite: inf$"
+            ):
+                sample_records_stream(1e308, 3, seed=0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
