@@ -105,7 +105,10 @@ class RecordSummary:
 
     @classmethod
     def _unchecked(
-        cls, values: tuple[float, ...], times: tuple[int, ...], times_synthetic=False
+        cls,
+        values: tuple[float, ...],
+        times: tuple[int, ...],
+        times_synthetic: bool = False,
     ) -> RecordSummary:
         # a summary whose fields a scan or a slice of a summary has already
         # proved: plain finite nondecreasing floats, and ints that start at 1

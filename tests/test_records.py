@@ -406,20 +406,16 @@ NOT_SERIES = {
 
 
 # arrays whose items no scan reads as real numbers, as (the array, what the
-# error names): complex items would lose their imaginary parts to float(),
+# error says): complex items would lose their imaginary parts to float(),
 # datetimes have no buffer, and a 2-D memoryview cannot be iterated
+NOT_A_NUMBER = "observation 1 is not a number"
 UNREADABLE_ARRAYS = {
-    "complex": (lambda: np.array([1 + 5j, 2, 0.5 + 9j]), "observation 1 is not a number"),
-    "complex-real-parts": (lambda: np.array([1, 2], dtype=complex), "observation 1 is not a number"),
-    "complex-subclass": (
-        lambda: np.ma.array([1 + 5j, 2.0]), "observation 1 is not a number"
-    ),
-    "complex-strided": (lambda: np.ones(4, np.complex64)[::2], "observation 1 is not a number"),
-    "timedelta": (lambda: np.array([1, 2], dtype="m8[s]"), "observation 1 is not a number"),
-    "datetime": (
-        lambda: np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"),
-        "observation 1 is not a number",
-    ),
+    "complex": (lambda: np.array([1 + 5j, 2, 0.5 + 9j]), NOT_A_NUMBER),
+    "complex-real-parts": (lambda: np.array([1, 2], dtype=complex), NOT_A_NUMBER),
+    "complex-subclass": (lambda: np.ma.array([1 + 5j, 2.0]), NOT_A_NUMBER),
+    "complex-strided": (lambda: np.ones(4, np.complex64)[::2], NOT_A_NUMBER),
+    "timedelta": (lambda: np.array([1, 2], dtype="m8[s]"), NOT_A_NUMBER),
+    "datetime": (lambda: np.array(["2020-01-01"], dtype="M8[D]"), NOT_A_NUMBER),
     "2-d memoryview": (
         lambda: memoryview(np.ones((3, 2))), "the series is a memoryview of 2 dimensions"
     ),
